@@ -1,6 +1,7 @@
 //! End-to-end tests of the `tracefill` binary itself: output-path
-//! validation must fail fast with a clear message and nonzero exit, and
-//! the ledger report must be byte-deterministic across invocations.
+//! validation must fail fast with a clear message and nonzero exit, the
+//! ledger report must be byte-deterministic across invocations, and the
+//! sweep subcommands must reproduce the goldens under `tests/golden/`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -39,6 +40,72 @@ loop:   andi $t0, $s0, 3
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Runs `tracefill <args>` and compares its stdout byte for byte with
+/// `tests/golden/<name>`. To regenerate a golden after an intended
+/// format change, run the same command and redirect stdout to the file.
+fn assert_golden(name: &str, args: &[&str]) {
+    let out = bin().args(args).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    let want = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert!(
+        out.stdout == want,
+        "`tracefill {}` no longer matches {}; got:\n{}",
+        args.join(" "),
+        path.display(),
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn fault_sweeps_match_goldens() {
+    let sweep = ["--seed", "1", "--trials", "3", "--budget", "6000", "--json"];
+    assert_golden("inject.json", &[&["inject"], &sweep[..]].concat());
+    assert_golden(
+        "inject-self-repair.json",
+        &[
+            &["inject", "--self-repair", "--detect", "oracle"],
+            &sweep[..],
+        ]
+        .concat(),
+    );
+    assert_golden(
+        "heal.json",
+        &[
+            "heal", "--seed", "7", "--trials", "3", "--budget", "6000", "--json",
+        ],
+    );
+}
+
+#[test]
+fn ledger_and_adapt_match_goldens() {
+    assert_golden(
+        "ledger.json",
+        &[
+            "ledger", "--bench", "m88k", "--seed", "1", "--warmup", "1000", "--budget", "8000",
+            "--json",
+        ],
+    );
+    assert_golden(
+        "adapt.json",
+        &[
+            "adapt", "--bench", "m88k", "--opts", "none:all", "--seed", "1", "--warmup", "2000",
+            "--budget", "2000", "--epoch", "64", "--json",
+        ],
+    );
+}
+
+#[test]
+fn verify_and_suite_match_goldens() {
+    assert_golden(
+        "verify.txt",
+        &["verify", "--opts", "none:all", "--budget", "2000"],
+    );
+    assert_golden("suite.txt", &["suite", "--opts", "all", "--budget", "2000"]);
 }
 
 #[test]

@@ -2,21 +2,15 @@
 //! DESIGN.md): trace packing, branch promotion, inactive issue,
 //! loop-aligned fill, promotion threshold, and scaled-add shift limit.
 
-use tracefill_bench::{run_with, RunResult};
+use tracefill_bench::run_with;
 use tracefill_core::config::OptConfig;
 use tracefill_sim::SimConfig;
-use tracefill_workloads::Benchmark;
 
-fn geomean(rs: &[(String, RunResult)]) -> f64 {
-    (rs.iter().map(|(_, r)| r.ipc.ln()).sum::<f64>() / rs.len() as f64).exp()
-}
-
+/// Geometric-mean IPC over the suite on the machine `make` builds.
 fn sweep(title: &str, make: &dyn Fn() -> SimConfig) -> f64 {
-    let rows: Vec<(String, RunResult)> = tracefill_workloads::suite()
-        .iter()
-        .map(|b: &Benchmark| (b.name.to_string(), run_with(b, make())))
-        .collect();
-    let g = geomean(&rows);
+    let suite = tracefill_workloads::suite();
+    let log_sum: f64 = suite.iter().map(|b| run_with(b, make()).ln()).sum();
+    let g = (log_sum / suite.len() as f64).exp();
     println!("{title:40} geomean IPC = {g:.3}");
     g
 }

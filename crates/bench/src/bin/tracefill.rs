@@ -1,60 +1,55 @@
-//! `tracefill` — command-line driver for the simulator.
+//! `tracefill` — command-line driver for the simulator. Run it without
+//! arguments for the usage text.
 //!
-//! ```text
-//! tracefill run <file.s> [--opts all|none|moves,reassoc,scadd,placement,cse]
-//!                        [--replace lru|srrip|trrip] [--self-repair]
-//!                        [--input 1,2,3] [--max-cycles N] [--json] [--ledger]
-//!                        [--stats-json <file>]  # write the full report JSON
-//!                        [--trace N]   # print the last N pipeline events
-//! tracefill trace <file.s> [--out <file>] [--format jsonl|chrome] [--depth N]
-//!                          [--opts SPEC] [--input 1,2,3] [--max-cycles N] [--ledger]
-//! tracefill interp <file.s> [--input 1,2,3]
-//! tracefill characterize <file.s>
-//! tracefill suite [--opts SPEC] [--budget N]
-//! tracefill ledger [--bench NAME[,NAME...]|all] [--opts SPEC] [--replace P]
-//!                  [--seed N] [--warmup N] [--budget N] [--latency N]
-//!                  [--top N] [--max-cycles N] [--json] [--out <file>]
-//! tracefill campaign <fig8|table2|spec.json> [--out results.jsonl] [--jobs N] [--quiet]
-//!                    [--quarantine-after K] [--wall-budget-ms N]
-//! tracefill report <results.jsonl> [--format fig8|table2|cpi|ledger|repair|summary|all]
-//! tracefill verify [<file.s>] [--opts SPEC[:SPEC...]] [--budget N] [--max-cycles N]
-//! tracefill inject [--bench NAME] [--opts SPEC[:SPEC...]] [--seed N] [--trials N]
-//!                  [--faults N] [--horizon N] [--kinds a,b,c] [--detect strict|oracle|none]
-//!                  [--budget N] [--json] [--self-repair]
-//! tracefill heal [--bench NAME] [--opts SPEC[:SPEC...]] [--seed N] [--trials N]
-//!                [--faults N] [--horizon N] [--kinds a,b,c] [--budget N]
-//!                [--quarantine-after K] [--disable-after M] [--json]
-//! tracefill adapt [--bench NAME[,NAME...]] [--opts SPEC[:SPEC...]]
-//!                 [--mode egreedy[:MILLI]|ucb[:MILLI]|static:SPEC] [--seed N]
-//!                 [--replace lru|srrip|trrip] [--latency N] [--warmup N]
-//!                 [--budget N] [--epoch N] [--max-cycles N] [--json] [--out <file>]
-//! ```
+//! The sweep subcommands share the harness: `verify`, `suite` and `adapt`
+//! expand a campaign grid and run it through the harness runner, and
+//! `inject` and `heal` are two renderings of one harness fault sweep,
+//! whose outcome taxonomy `report --format repair` also uses.
 //!
 //! Numeric flags are parsed strictly: a malformed value is a usage error
-//! (exit 2), never a silent fall-back to the default.
+//! (exit 2), never a silent fall-back to the default. A zero-sized axis
+//! (`--trials 0`, `--budget 0`, an empty `--opts`, `--kinds` or `--bench`)
+//! exits 1 with a message naming the flag.
 
 use std::process::exit;
 use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
-use tracefill_harness::grid::parse_opt_spec;
 use tracefill_harness::{
-    report, run_adapt, run_campaign_with, store, AdaptSpec, CampaignOptions, CampaignSpec,
-    ResultStore,
+    report, run_adapt, run_campaign_with, runner, store, AdaptSpec, CampaignOptions, CampaignSpec,
+    CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunRecord, RunStatus, Tally,
 };
 use tracefill_isa::asm::assemble;
-use tracefill_isa::interp::{Halt, Interp};
+use tracefill_isa::interp::Interp;
 use tracefill_isa::syscall::IoCtx;
 use tracefill_isa::Program;
-use tracefill_sim::{FaultKind, FaultPlan, RepairConfig, RunExit, SimConfig, Simulator};
+use tracefill_sim::{FaultKind, RepairConfig, RunExit, SimConfig, Simulator};
 use tracefill_util::Json;
 
+/// Prints a message and exits with `code`: 2 for a usage error, 1 for a
+/// failure.
+macro_rules! die {
+    ($code:expr, $($msg:tt)+) => {{
+        eprintln!($($msg)+);
+        exit($code)
+    }};
+}
+
+/// Unwraps a `Result`, or prints the context message followed by the
+/// error and exits 1.
+macro_rules! or_exit {
+    ($result:expr, $($context:tt)+) => {
+        $result.unwrap_or_else(|e| die!(1, "{}{e}", format_args!($($context)+)))
+    };
+}
+
 fn usage() -> ! {
-    eprintln!(
+    die!(
+        2,
         "usage:
   tracefill run <file.s> [--opts SPEC] [--replace lru|srrip|trrip] [--input a,b,c] [--max-cycles N] [--json] [--ledger] [--self-repair] [--stats-json <file>] [--trace N]
   tracefill trace <file.s> [--out <file>] [--format jsonl|chrome] [--depth N] [--opts SPEC] [--input a,b,c] [--max-cycles N] [--ledger]
   tracefill interp <file.s> [--input a,b,c]
   tracefill characterize <file.s>
-  tracefill suite [--opts SPEC] [--budget N]
+  tracefill suite [--opts SPEC[:SPEC...]] [--budget N]
   tracefill ledger [--bench NAME[,NAME...]|all] [--opts SPEC] [--replace lru|srrip|trrip]
                    [--seed N] [--warmup N] [--budget N] [--latency N] [--top N]
                    [--max-cycles N] [--json] [--out <file>]
@@ -74,144 +69,228 @@ fn usage() -> ! {
                   [--budget N] [--epoch N] [--max-cycles N] [--json] [--out <file>]
 
 SPEC is `all`, `none`, or a comma list of: moves reassoc scadd placement cse
-`verify`, `inject` and `adapt` take several SPECs separated by `:`"
-    );
-    exit(2);
+`suite`, `verify`, `inject`, `heal` and `adapt` take several SPECs separated by `:`"
+    )
 }
 
-fn parse_opts(spec: &str) -> OptConfig {
-    parse_opt_spec(spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
-}
-
-/// Parses a colon-separated list of opt specs into `(label, config)`
-/// pairs, e.g. `none:moves:all`.
-fn parse_opt_list(list: &str) -> Vec<(String, OptConfig)> {
-    list.split(':')
-        .filter(|s| !s.is_empty())
-        .map(|s| (s.to_string(), parse_opts(s)))
-        .collect()
-}
-
-/// The `--replace` flag: a trace-cache replacement policy (default LRU).
-fn parse_replace(args: &[String]) -> ReplacementKind {
-    match flag_value(args, "--replace") {
-        None => ReplacementKind::Lru,
-        Some(v) => ReplacementKind::parse(&v).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        }),
-    }
+/// Whether the boolean flag `name` is present.
+fn has(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
 }
 
 /// The value following `name`, if the flag is present. A flag given
 /// without a value is a usage error.
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => {
-            eprintln!("{name} requires a value");
-            exit(2);
-        }
-    }
+    let value = args
+        .get(i + 1)
+        .unwrap_or_else(|| die!(2, "{name} requires a value"));
+    Some(value.clone())
 }
 
 /// Strict numeric flag: absent → `default`; present but malformed →
 /// usage error (exit 2). Never silently falls back.
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag_value(args, name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value `{v}` for {name}");
-            exit(2);
-        }),
-    }
-}
-
-/// Validates an output path *before* the simulation runs: the parent
-/// directory must exist and the path must not name a directory, so a
-/// typo'd `--out`/`--stats-json` fails in milliseconds instead of after
-/// minutes of simulated cycles.
-fn ensure_writable_path(path: &str) {
-    let p = std::path::Path::new(path);
-    if p.is_dir() {
-        eprintln!("cannot write {path}: path is a directory");
-        exit(1);
-    }
-    if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if !parent.is_dir() {
-            eprintln!(
-                "cannot write {path}: parent directory `{}` does not exist",
-                parent.display()
-            );
-            exit(1);
-        }
-    }
-}
-
-fn load(path: &str) -> Program {
-    let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    assemble(&src).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        exit(1);
+    flag_value(args, name).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| die!(2, "invalid value `{v}` for {name}"))
     })
 }
 
-fn parse_input(args: &[String]) -> IoCtx {
-    match flag_value(args, "--input") {
-        Some(list) => IoCtx::with_input(list.split(',').filter(|p| !p.is_empty()).map(|p| {
-            p.parse().unwrap_or_else(|_| {
-                eprintln!("bad input value `{p}`");
-                exit(2);
-            })
-        })),
-        None => IoCtx::default(),
+/// Exits 1 for a zero-sized count, which would measure nothing.
+fn require_nonzero(flag: &str, value: u64) {
+    if value == 0 {
+        die!(
+            1,
+            "{flag} must be at least 1 (a zero-sized axis measures nothing)"
+        );
     }
 }
 
-fn cmd_run(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
-    let prog = load(path);
+/// Splits the list `value` of flag `name` on `sep` and parses each item;
+/// an empty list exits 1, since an axis that selects nothing would
+/// measure nothing yet look like a pass.
+fn split_list<T>(
+    name: &str,
+    value: &str,
+    sep: char,
+    what: &str,
+    item: impl Fn(&str) -> T,
+) -> Vec<T> {
+    let list: Vec<T> = value
+        .split(sep)
+        .filter(|s| !s.is_empty())
+        .map(item)
+        .collect();
+    if list.is_empty() {
+        die!(1, "{name} selected no {what} (empty axis)");
+    }
+    list
+}
+
+fn parse_opts(spec: &str) -> OptConfig {
+    OptConfig::from_name(spec).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    })
+}
+
+/// The `--opts` axis: `:`-separated opt specs (`default` when the flag is
+/// absent) as `(spec, config)` pairs, e.g. `none:moves:all`.
+fn parse_opt_axis(args: &[String], default: &str) -> Vec<(String, OptConfig)> {
+    let value = flag_value(args, "--opts").unwrap_or_else(|| default.into());
+    split_list("--opts", &value, ':', "optimization sets", |s| {
+        (s.to_string(), parse_opts(s))
+    })
+}
+
+/// The `--bench` list (`default` when absent, `all` for the whole suite)
+/// as canonical suite names.
+fn parse_benches(args: &[String], default: &str) -> Vec<String> {
+    let value = flag_value(args, "--bench").unwrap_or_else(|| default.into());
+    if value == "all" {
+        return tracefill_workloads::names()
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
+    }
+    let all = tracefill_workloads::names().join(", ");
+    let lookup = |name: &str| match tracefill_workloads::by_name(name) {
+        Some(b) => b.name.to_string(),
+        None => die!(2, "unknown benchmark `{name}` (expected one of: {all})"),
+    };
+    split_list("--bench", &value, ',', "benchmarks", lookup)
+}
+
+/// The `--replace` flag: a trace-cache replacement policy (default LRU).
+fn parse_replace(args: &[String]) -> ReplacementKind {
+    flag_value(args, "--replace").map_or(ReplacementKind::Lru, |v| {
+        ReplacementKind::parse(&v).unwrap_or_else(|e| die!(2, "{e}"))
+    })
+}
+
+/// The positional argument (a file, spec or store), unless the first
+/// argument is a flag.
+fn optional_positional(args: &[String]) -> Option<&String> {
+    args.first().filter(|a| !a.starts_with("--"))
+}
+
+/// The required positional argument; a missing one, or a flag in its
+/// place, is a usage error.
+fn positional(args: &[String]) -> &String {
+    optional_positional(args).unwrap_or_else(|| usage())
+}
+
+/// An output-path flag, validated *before* the simulation runs: the
+/// parent directory must exist and the path must not name a directory,
+/// so a typo'd `--out`/`--stats-json` fails in milliseconds instead of
+/// after minutes of simulated cycles.
+fn out_flag(args: &[String], name: &str) -> Option<String> {
+    let out = flag_value(args, name)?;
+    let p = std::path::Path::new(&out);
+    if p.is_dir() {
+        die!(1, "cannot write {out}: path is a directory");
+    }
+    if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if !parent.is_dir() {
+            let parent = parent.display();
+            die!(
+                1,
+                "cannot write {out}: parent directory `{parent}` does not exist"
+            );
+        }
+    }
+    Some(out)
+}
+
+fn write_file(path: &str, text: &str) {
+    or_exit!(std::fs::write(path, text), "cannot write {path}: ");
+}
+
+/// Writes a deterministic JSON report to `out` and, under `--json`,
+/// prints it; returns whether the caller should print its human-readable
+/// form instead.
+fn emit_report(args: &[String], out: Option<String>, what: &str, doc: &Json) -> bool {
+    let text = doc.dump_pretty(2) + "\n";
+    if let Some(out) = out {
+        write_file(&out, &text);
+        eprintln!("wrote {what} report -> {out}");
+    }
+    if has(args, "--json") {
+        print!("{text}");
+    }
+    !has(args, "--json")
+}
+
+/// The member at `path` inside `v`.
+fn at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a Json> {
+    path.iter().try_fold(v, |v, k| v.get(k))
+}
+
+/// The number at `path` inside `v` (0 if absent).
+fn num(v: &Json, path: &[&str]) -> f64 {
+    at(v, path).and_then(Json::as_f64).unwrap_or(0.0)
+}
+
+/// The count at `path` inside `v` (0 if absent).
+fn count(v: &Json, path: &[&str]) -> u64 {
+    at(v, path).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// The string at `path` inside `v` (`?` if absent).
+fn text<'a>(v: &'a Json, path: &[&str]) -> &'a str {
+    at(v, path).and_then(Json::as_str).unwrap_or("?")
+}
+
+fn load(path: &str) -> Program {
+    let src = or_exit!(std::fs::read_to_string(path), "cannot read {path}: ");
+    or_exit!(assemble(&src), "{path}: ")
+}
+
+fn parse_input(args: &[String]) -> IoCtx {
+    flag_value(args, "--input").map_or_else(IoCtx::default, |list| {
+        IoCtx::with_input(list.split(',').filter(|p| !p.is_empty()).map(|p| {
+            p.parse()
+                .unwrap_or_else(|_| die!(2, "bad input value `{p}`"))
+        }))
+    })
+}
+
+/// Runs the positional program, fed `--input`, on the `--opts` machine
+/// (`--ledger` on or off, pipeline trace `trace_depth` deep, then
+/// `adjust`ed) for at most `--max-cycles`.
+fn simulate(
+    args: &[String],
+    trace_depth: usize,
+    adjust: impl FnOnce(&mut SimConfig),
+) -> (Simulator, RunExit) {
+    let prog = load(positional(args));
     let opts = parse_opts(&flag_value(args, "--opts").unwrap_or_else(|| "all".into()));
     let max_cycles: u64 = parse_flag(args, "--max-cycles", 200_000_000);
-    if max_cycles == 0 {
-        eprintln!("--max-cycles must be at least 1 (a zero-cycle run measures nothing)");
-        exit(1);
-    }
-    let json = args.iter().any(|a| a == "--json");
-    let trace_depth: usize = parse_flag(args, "--trace", 0);
-    let stats_json = flag_value(args, "--stats-json");
-    if let Some(p) = &stats_json {
-        ensure_writable_path(p);
-    }
-
+    require_nonzero("--max-cycles", max_cycles);
     let mut cfg = SimConfig {
         trace_depth,
         ..SimConfig::with_opts(opts)
     };
-    cfg.tcache.policy = parse_replace(args);
-    cfg.ledger = args.iter().any(|a| a == "--ledger");
-    cfg.self_repair.enabled = args.iter().any(|a| a == "--self-repair");
+    cfg.ledger = has(args, "--ledger");
+    adjust(&mut cfg);
     let mut sim = Simulator::with_io(&prog, cfg, parse_input(args));
-    let exit_state = sim.run(max_cycles).unwrap_or_else(|e| {
-        eprintln!("simulation error: {e}");
-        exit(1);
+    let exit = or_exit!(sim.run(max_cycles), "simulation error: ");
+    (sim, exit)
+}
+
+fn cmd_run(args: &[String]) {
+    let trace_depth: usize = parse_flag(args, "--trace", 0);
+    let stats_json = out_flag(args, "--stats-json");
+    let (sim, exit_state) = simulate(args, trace_depth, |cfg| {
+        cfg.tcache.policy = parse_replace(args);
+        cfg.self_repair.enabled = has(args, "--self-repair");
     });
     let report = sim.report();
     if let Some(stats_path) = stats_json {
-        let text = report.to_json().dump_pretty(2);
-        std::fs::write(&stats_path, text + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {stats_path}: {e}");
-            exit(1);
-        });
+        write_file(&stats_path, &(report.to_json().dump_pretty(2) + "\n"));
     }
-    if json {
+    if has(args, "--json") {
         println!("{}", report.to_json().dump_pretty(2));
         return;
     }
@@ -224,34 +303,24 @@ fn cmd_run(args: &[String]) {
     println!("from TC     : {:.1}%", s.tc_fraction() * 100.0);
     println!("TC hit rate : {:.1}%", report.tcache.hit_rate() * 100.0);
     println!("mispredict  : {:.2}%", s.mispredict_rate() * 100.0);
-    println!(
-        "transformed : {:.1}% (moves {} / reassoc {} / scadd {})",
-        s.transformed_fraction() * 100.0,
-        s.retired_moves,
-        s.retired_reassoc,
-        s.retired_scadd
-    );
-    println!(
-        "bypass-delayed: {:.1}% of FU-executed instructions",
-        s.bypass_delay_fraction() * 100.0
-    );
-    if !sim.repairs().is_empty() {
-        println!(
-            "self-repair : {} contained failure(s) (see `tracefill heal` for a sweep)",
-            sim.repairs().len()
-        );
-        for ev in sim.repairs() {
+    let (moves, reassoc, scadd) = (s.retired_moves, s.retired_reassoc, s.retired_scadd);
+    let transformed = s.transformed_fraction() * 100.0;
+    println!("transformed : {transformed:.1}% (moves {moves} / reassoc {reassoc} / scadd {scadd})");
+    let delayed = s.bypass_delay_fraction() * 100.0;
+    println!("bypass-delayed: {delayed:.1}% of FU-executed instructions");
+    let repairs = sim.repairs();
+    if !repairs.is_empty() {
+        let n = repairs.len();
+        println!("self-repair : {n} contained failure(s) (see `tracefill heal` for a sweep)");
+        for ev in repairs {
             println!("  {ev}");
         }
     }
-    if sim.ledger().enabled() {
-        let led = sim.ledger();
+    let led = sim.ledger();
+    if led.enabled() {
         let hits: u64 = led.records().map(|r| r.hits).sum();
-        let doa = led.records().filter(|r| r.is_doa()).count();
-        println!(
-            "ledger      : {} segments, {hits} hits, {doa} dead-on-arrival (see `tracefill ledger`)",
-            led.len()
-        );
+        let (segs, doa) = (led.len(), led.records().filter(|r| r.is_doa()).count());
+        println!("ledger      : {segs} segments, {hits} hits, {doa} dead-on-arrival (see `tracefill ledger`)");
     }
     let cpi = report.cpi;
     if cpi.base > 0 {
@@ -270,43 +339,22 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_trace(args: &[String]) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        usage()
-    };
-    let prog = load(path);
-    let opts = parse_opts(&flag_value(args, "--opts").unwrap_or_else(|| "all".into()));
     let depth: usize = parse_flag(args, "--depth", 65_536);
-    if depth == 0 {
-        eprintln!("--depth must be at least 1");
-        exit(2);
-    }
-    let max_cycles: u64 = parse_flag(args, "--max-cycles", 200_000_000);
+    require_nonzero("--depth", depth as u64);
     let format = flag_value(args, "--format").unwrap_or_else(|| "jsonl".into());
     if !matches!(format.as_str(), "jsonl" | "chrome") {
-        eprintln!("unknown trace format `{format}` (expected jsonl, chrome)");
-        exit(2);
+        die!(
+            2,
+            "unknown trace format `{format}` (expected jsonl, chrome)"
+        );
     }
-    let ledger = args.iter().any(|a| a == "--ledger");
-    let out = flag_value(args, "--out");
-    if let Some(o) = &out {
-        ensure_writable_path(o);
-    }
-
-    let mut cfg = SimConfig {
-        trace_depth: depth,
-        ..SimConfig::with_opts(opts)
-    };
-    cfg.ledger = ledger;
-    let mut sim = Simulator::with_io(&prog, cfg, parse_input(args));
-    sim.run(max_cycles).unwrap_or_else(|e| {
-        eprintln!("simulation error: {e}");
-        exit(1);
-    });
+    let out = out_flag(args, "--out");
+    let (sim, _) = simulate(args, depth, |_| {});
     let text = match format.as_str() {
         "jsonl" => sim.trace().to_jsonl(),
         // With the ledger on, the chrome export gains one track per
         // segment life (fill → eviction) alongside the pipeline events.
-        "chrome" if ledger => {
+        "chrome" if sim.ledger().enabled() => {
             sim.trace()
                 .to_chrome_trace_with_ledger(sim.ledger(), sim.cycle())
                 .dump_pretty(2)
@@ -317,40 +365,25 @@ fn cmd_trace(args: &[String]) {
     };
     match out {
         Some(out) => {
-            std::fs::write(&out, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                exit(1);
-            });
-            eprintln!(
-                "wrote {} events ({} bytes, {format}) -> {out}",
-                sim.trace().len(),
-                text.len()
-            );
+            write_file(&out, &text);
+            let (events, bytes) = (sim.trace().len(), text.len());
+            eprintln!("wrote {events} events ({bytes} bytes, {format}) -> {out}");
         }
         None => print!("{text}"),
     }
 }
 
 fn cmd_interp(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
-    let prog = load(path);
+    let prog = load(positional(args));
     let mut i = Interp::with_io(&prog, parse_input(args));
-    match i.run(2_000_000_000) {
-        Ok(h) => {
-            println!("halt   : {h:?}");
-            println!("instrs : {}", i.icount());
-            println!("output : {:?}", i.io().output);
-        }
-        Err(e) => {
-            eprintln!("fault: {e}");
-            exit(1);
-        }
-    }
+    let h = or_exit!(i.run(2_000_000_000), "fault: ");
+    println!("halt   : {h:?}");
+    println!("instrs : {}", i.icount());
+    println!("output : {:?}", i.io().output);
 }
 
 fn cmd_characterize(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
-    let prog = load(path);
+    let prog = load(positional(args));
     let c = tracefill_workloads::characterize(&prog, 1_000_000);
     println!("instructions measured : {}", c.instrs);
     println!("register-move idioms  : {:5.2}%", c.moves * 100.0);
@@ -358,39 +391,44 @@ fn cmd_characterize(args: &[String]) {
     println!("scaled-add pairs      : {:5.2}%", c.scadd * 100.0);
     println!("total transformable   : {:5.2}%", c.total() * 100.0);
     println!("conditional branches  : {:5.2}%", c.branches * 100.0);
-    println!(
-        "loads / stores        : {:5.2}% / {:.2}%",
-        c.loads * 100.0,
-        c.stores * 100.0
-    );
+    let (loads, stores) = (c.loads * 100.0, c.stores * 100.0);
+    println!("loads / stores        : {loads:5.2}% / {stores:.2}%");
 }
 
+/// Runs every point of `spec` through the harness runner, in grid order.
+fn execute_all(spec: &CampaignSpec) -> Vec<RunRecord> {
+    let runs = spec.expand();
+    runs.iter()
+        .map(|d| runner::execute(d, &spec.name, None))
+        .collect()
+}
+
+/// The suite's IPC gain per opt set over the `none` baseline: one
+/// campaign grid (warmup and measured window of `--budget` instructions
+/// each) run through the harness runner and rendered as the Figure 8
+/// table.
 fn cmd_suite(args: &[String]) {
-    let opts = parse_opts(&flag_value(args, "--opts").unwrap_or_else(|| "all".into()));
-    let budget: u64 = parse_flag(args, "--budget", 100_000);
-    println!(
-        "{:6} {:>9} {:>9} {:>8}",
-        "bench", "base IPC", "opt IPC", "delta"
-    );
-    for b in tracefill_workloads::suite() {
-        let prog = b.program(b.scale_for(3 * budget)).unwrap();
-        let measure = |o: OptConfig| {
-            let mut sim = Simulator::new(&prog, SimConfig::with_opts(o));
-            sim.run_instrs(budget).unwrap();
-            let (c0, r0) = (sim.cycle(), sim.stats().retired);
-            sim.run_instrs(budget).unwrap();
-            (sim.stats().retired - r0) as f64 / (sim.cycle() - c0) as f64
-        };
-        let base = measure(OptConfig::none());
-        let opt = measure(opts);
-        println!(
-            "{:6} {:9.3} {:9.3} {:+7.1}%",
-            b.name,
-            base,
-            opt,
-            (opt / base - 1.0) * 100.0
-        );
+    let mut opt_sets = vec![OptPoint {
+        label: "none".into(),
+        opts: OptConfig::none(),
+    }];
+    for (_, opts) in parse_opt_axis(args, "all") {
+        let label = opts.label();
+        if opt_sets.iter().all(|p| p.label != label) {
+            opt_sets.push(OptPoint { label, opts });
+        }
     }
+    let budget: u64 = parse_flag(args, "--budget", 100_000);
+    require_nonzero("--budget", budget);
+    let records = execute_all(&CampaignSpec {
+        name: "suite".into(),
+        opt_sets,
+        fill_latencies: vec![1],
+        warmup: budget,
+        budget,
+        ..CampaignSpec::fig8()
+    });
+    print!("{}", report::fig8_table(&records));
 }
 
 /// Resolves a campaign argument: a builtin name (`fig8`, `table2`) or a
@@ -399,127 +437,110 @@ fn load_spec(arg: &str) -> CampaignSpec {
     if let Some(spec) = CampaignSpec::builtin(arg) {
         return spec;
     }
-    let text = std::fs::read_to_string(arg).unwrap_or_else(|e| {
-        eprintln!("`{arg}` is not a builtin campaign (fig8, table2) and cannot be read as a spec file: {e}");
-        exit(1);
-    });
-    CampaignSpec::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("{arg}: {e}");
-        exit(1);
-    })
+    let text = or_exit!(
+        std::fs::read_to_string(arg),
+        "`{arg}` is not a builtin campaign (fig8, table2) and cannot be read as a spec file: "
+    );
+    or_exit!(CampaignSpec::from_json(&text), "{arg}: ")
 }
 
 fn cmd_campaign(args: &[String]) {
-    let Some(spec_arg) = args.first().filter(|a| !a.starts_with("--")) else {
-        usage()
-    };
-    let spec = load_spec(spec_arg);
+    let spec = load_spec(positional(args));
     let out = flag_value(args, "--out").unwrap_or_else(|| format!("{}.jsonl", spec.name));
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let jobs: usize = parse_flag(args, "--jobs", default_jobs);
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1");
-        exit(2);
-    }
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let quarantine_after: u32 = parse_flag(args, "--quarantine-after", 3);
-    let wall_budget_ms: u64 = parse_flag(args, "--wall-budget-ms", 0);
-
-    let mut store = ResultStore::open(&out).unwrap_or_else(|e| {
-        eprintln!("cannot open {out}: {e}");
-        exit(1);
-    });
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let jobs: usize = parse_flag(args, "--jobs", cores);
+    require_nonzero("--jobs", jobs as u64);
     let options = CampaignOptions {
         jobs,
-        live_progress: !quiet,
-        quarantine_after,
+        live_progress: !has(args, "--quiet"),
+        quarantine_after: parse_flag(args, "--quarantine-after", 3),
         cancel: None,
-        wall_budget_ms,
+        wall_budget_ms: parse_flag(args, "--wall-budget-ms", 0),
     };
-    let summary = run_campaign_with(&spec, &mut store, &options).unwrap_or_else(|e| {
-        eprintln!("campaign failed: {e}");
-        exit(1);
-    });
-    println!(
-        "campaign `{}`: {} runs ({} resumed, {} executed, {} failed, {} quarantined) in {:.1}s -> {}",
-        spec.name,
-        summary.total,
-        summary.skipped,
-        summary.executed,
-        summary.failed,
-        summary.quarantined,
-        summary.wall_ms as f64 / 1000.0,
-        out,
+
+    let mut store = or_exit!(ResultStore::open(&out), "cannot open {out}: ");
+    let summary = or_exit!(
+        run_campaign_with(&spec, &mut store, &options),
+        "campaign failed: "
     );
-    if summary.cancelled {
+    let (name, secs) = (&spec.name, summary.wall_ms as f64 / 1000.0);
+    let CampaignSummary {
+        total,
+        skipped,
+        executed,
+        failed,
+        quarantined,
+        cancelled,
+        ..
+    } = summary;
+    println!("campaign `{name}`: {total} runs ({skipped} resumed, {executed} executed, {failed} failed, {quarantined} quarantined) in {secs:.1}s -> {out}");
+    if cancelled {
         eprintln!("note: campaign was cancelled (wall budget); resume with the same command");
     }
-    if summary.failed > 0 {
-        eprintln!(
-            "note: {} run(s) did not finish Ok; see `tracefill report {out} --format summary`",
-            summary.failed
-        );
+    if failed > 0 {
+        eprintln!("note: {failed} run(s) did not finish Ok; see `tracefill report {out} --format summary`");
     }
 }
 
 /// Lockstep-oracle verification: every workload (or one file) under every
-/// requested optimization set, strict segment verification *and* retire-time
-/// oracle checking on. Any divergence prints the structured report and
-/// fails the command.
+/// requested optimization set, strict segment verification *and*
+/// retire-time oracle checking on. The suite form is a campaign grid run
+/// through the harness runner. Any divergence prints the structured
+/// report and fails the command.
 fn cmd_verify(args: &[String]) {
-    let opt_list = parse_opt_list(
-        &flag_value(args, "--opts")
-            .unwrap_or_else(|| "none:moves:reassoc:scadd:placement:cse:all".into()),
-    );
-    if opt_list.is_empty() {
-        usage();
-    }
+    let opt_list = parse_opt_axis(args, "none:moves:reassoc:scadd:placement:cse:all");
     let budget: u64 = parse_flag(args, "--budget", 30_000);
     let max_cycles: u64 = parse_flag(args, "--max-cycles", 5_000_000);
+    require_nonzero("--budget", budget);
+    require_nonzero("--max-cycles", max_cycles);
 
-    let programs: Vec<(String, Program)> = match args.first().filter(|a| !a.starts_with("--")) {
-        Some(path) => vec![(path.clone(), load(path))],
-        None => tracefill_workloads::suite()
-            .into_iter()
-            .map(|b| {
-                let prog = b.program(b.scale_for(budget)).unwrap_or_else(|e| {
-                    eprintln!("{}: {e}", b.name);
-                    exit(1);
-                });
-                (b.name.to_string(), prog)
-            })
-            .collect(),
+    let (mut total, mut diverged) = (0u64, 0u64);
+    // Judges one configuration: `(retired, cycles)` or the divergence report.
+    let mut judge = |name: &str, label: &str, run: Result<(u64, u64), String>| {
+        total += 1;
+        match run {
+            Ok((retired, cycles)) => {
+                println!("PASS {name:<8} opts={label:<26} retired={retired} cycles={cycles}");
+            }
+            Err(report) => {
+                diverged += 1;
+                eprintln!("FAIL {name} opts={label}\n{report}");
+            }
+        }
     };
-
-    let mut passed = 0u64;
-    let mut diverged = 0u64;
-    for (name, prog) in &programs {
-        for (label, opts) in &opt_list {
-            let mut sim = Simulator::new(prog, SimConfig::with_opts(*opts));
-            match sim.run_budgeted(budget, max_cycles, None) {
-                Ok(_) => {
-                    passed += 1;
-                    println!(
-                        "PASS {:<8} opts={:<26} retired={} cycles={}",
-                        name,
-                        label,
-                        sim.stats().retired,
-                        sim.cycle()
-                    );
-                }
-                Err(e) => {
-                    diverged += 1;
-                    eprintln!("FAIL {name} opts={label}");
-                    match e.divergence() {
-                        Some(rep) => eprintln!("{rep}"),
-                        None => eprintln!("{e}"),
-                    }
-                }
+    match optional_positional(args) {
+        Some(path) => {
+            let prog = load(path);
+            for (label, opts) in &opt_list {
+                let mut sim = Simulator::new(&prog, SimConfig::with_opts(*opts));
+                let run = sim.run_budgeted(budget, max_cycles, None);
+                let run = run.map(|_| (sim.stats().retired, sim.cycle()));
+                judge(path, label, run.map_err(|e| e.to_string()));
+            }
+        }
+        None => {
+            let opt_sets = opt_list.into_iter();
+            let spec = CampaignSpec {
+                name: "verify".into(),
+                opt_sets: opt_sets
+                    .map(|(label, opts)| OptPoint { label, opts })
+                    .collect(),
+                fill_latencies: vec![1],
+                warmup: 0,
+                budget,
+                max_cycles,
+                ..CampaignSpec::fig8()
+            };
+            for rec in execute_all(&spec) {
+                let run = match rec.status {
+                    RunStatus::SimError(report) => Err(report),
+                    _ => Ok((rec.stats.retired, rec.stats.cycles)),
+                };
+                judge(&rec.bench, &rec.opt_label, run);
             }
         }
     }
+    let passed = total - diverged;
     println!(
         "verify: {passed} configuration(s) passed, {diverged} diverged (budget {budget} instrs each)"
     );
@@ -528,427 +549,192 @@ fn cmd_verify(args: &[String]) {
     }
 }
 
-/// Outcome keys for the SDC table, in fixed print order. `recovered` and
-/// `fatal` only populate when the sweep runs with `--self-repair`:
-/// `recovered` counts runs that contained at least one failure and still
-/// finished bit-clean; `fatal` counts armed runs that died anyway.
-const INJECT_OUTCOMES: [&str; 12] = [
-    "injected",
-    "detected.verify",
-    "detected.fill_verify",
-    "detected.oracle",
-    "detected.watchdog",
-    "detected.panic",
-    "detected.simerror",
-    "recovered",
-    "fatal",
-    "masked",
-    "silent",
-    "unfired",
-];
-
-/// The `--kinds` flag: a comma list of fault kinds (default: all).
-fn parse_fault_kinds(args: &[String]) -> Vec<FaultKind> {
-    let kinds: Vec<FaultKind> = match flag_value(args, "--kinds") {
-        None => FaultKind::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
+/// The flags `inject` and `heal` share — one benchmark, the opt-set cells
+/// (each cell's machine built by `machine`) and the fault-plan shape —
+/// and the sweep's tallies, one per cell.
+fn fault_sweep(
+    args: &[String],
+    machine: impl Fn(OptConfig) -> SimConfig,
+) -> (FaultSweep, Vec<Tally>) {
+    let mut benches = parse_benches(args, "m88k");
+    if benches.len() > 1 {
+        die!(2, "--bench takes a single benchmark for a fault sweep");
+    }
+    let kinds = flag_value(args, "--kinds").map_or_else(
+        || FaultKind::ALL.to_vec(),
+        |list| {
+            split_list("--kinds", &list, ',', "fault kinds", |s| {
                 FaultKind::parse(s).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fault kind `{s}` (expected: {})",
-                        FaultKind::ALL.map(FaultKind::name).join(", ")
-                    );
-                    exit(2);
+                    let all = FaultKind::ALL.map(FaultKind::name).join(", ");
+                    die!(2, "unknown fault kind `{s}` (expected: {all})")
                 })
             })
-            .collect(),
+        },
+    );
+    let cells = parse_opt_axis(args, "none:all").into_iter();
+    let sweep = FaultSweep {
+        bench: benches.remove(0),
+        cells: cells.map(|(label, opts)| (label, machine(opts))).collect(),
+        seed: parse_flag(args, "--seed", 1),
+        trials: parse_flag(args, "--trials", 20),
+        faults: parse_flag(args, "--faults", 4),
+        horizon: parse_flag(args, "--horizon", 400),
+        kinds,
+        budget: parse_flag(args, "--budget", 20_000),
     };
-    if kinds.is_empty() {
-        usage();
+    require_nonzero("--trials", sweep.trials);
+    require_nonzero("--budget", sweep.budget);
+    let tallies = or_exit!(sweep.run(), "");
+    (sweep, tallies)
+}
+
+/// The JSON document `inject` and `heal` share: the sweep's shape, `extra`
+/// members, the fault kinds, and one `row` of counts per cell.
+fn sweep_json(
+    sweep: &FaultSweep,
+    tallies: &[Tally],
+    extra: Vec<(&str, Json)>,
+    row: impl Fn(&Tally) -> Vec<(&'static str, u64)>,
+) -> String {
+    let mut doc = Json::object()
+        .with("bench", sweep.bench.as_str())
+        .with("seed", sweep.seed)
+        .with("trials", sweep.trials)
+        .with("faults_per_trial", sweep.faults)
+        .with("horizon", sweep.horizon);
+    for (key, value) in extra {
+        doc = doc.with(key, value);
     }
-    kinds
+    let mut results = Json::object();
+    for ((label, _), tally) in sweep.cells.iter().zip(tallies) {
+        let cell = row(tally)
+            .into_iter()
+            .fold(Json::object(), |j, (k, v)| j.with(k, v));
+        results = results.with(label, cell);
+    }
+    let kinds = sweep.kinds.iter().map(|k| k.name()).collect::<Json>();
+    doc.with("kinds", kinds)
+        .with("results", results)
+        .dump_pretty(2)
 }
 
 /// Deterministic fault-injection campaign: per opt set, run `--trials`
-/// seeded [`FaultPlan`]s and classify each run as detected (by which
-/// layer), masked, silent (SDC), or unfired. The same seed always produces
-/// the same table.
+/// seeded fault plans and count each run's [`Outcome`]: detected (by which
+/// layer), masked, silent (SDC), unfired, and — under `--self-repair` —
+/// recovered or fatal. The same seed always produces the same table.
 fn cmd_inject(args: &[String]) {
-    let bench_name = flag_value(args, "--bench").unwrap_or_else(|| "m88k".into());
-    let bench = tracefill_workloads::by_name(&bench_name).unwrap_or_else(|| {
-        eprintln!(
-            "unknown benchmark `{bench_name}` (expected one of: {})",
-            tracefill_workloads::names().join(", ")
-        );
-        exit(2);
-    });
-    let opt_list = parse_opt_list(&flag_value(args, "--opts").unwrap_or_else(|| "none:all".into()));
-    if opt_list.is_empty() {
-        usage();
-    }
-    let seed: u64 = parse_flag(args, "--seed", 1);
-    let trials: u64 = parse_flag(args, "--trials", 20);
-    let faults: usize = parse_flag(args, "--faults", 4);
-    let horizon: u64 = parse_flag(args, "--horizon", 400);
-    let budget: u64 = parse_flag(args, "--budget", 20_000);
-    let json = args.iter().any(|a| a == "--json");
-    let self_repair = args.iter().any(|a| a == "--self-repair");
+    let self_repair = has(args, "--self-repair");
     let detect = flag_value(args, "--detect").unwrap_or_else(|| "strict".into());
     if !matches!(detect.as_str(), "strict" | "oracle" | "none") {
-        eprintln!("unknown detect mode `{detect}` (expected strict, oracle, none)");
-        exit(2);
+        die!(
+            2,
+            "unknown detect mode `{detect}` (expected strict, oracle, none)"
+        );
     }
     if self_repair && detect == "none" {
-        eprintln!("--self-repair requires the lockstep oracle (--detect strict or oracle)");
-        exit(2);
+        die!(
+            2,
+            "--self-repair requires the lockstep oracle (--detect strict or oracle)"
+        );
     }
-    let kinds = parse_fault_kinds(args);
-
-    // A scale at which the kernel *halts* within the budget, so clean runs
-    // produce a complete, comparable output stream.
-    let scale = ((budget / u64::from(bench.instrs_per_scale.max(1))).max(1)) as u32;
-    let prog = bench.program(scale).unwrap_or_else(|e| {
-        eprintln!("{bench_name}: {e}");
-        exit(1);
+    let (sweep, tallies) = fault_sweep(args, |opts| {
+        let mut cfg = SimConfig::with_opts(opts);
+        cfg.self_repair.enabled = self_repair;
+        cfg.fill.strict_verify = detect == "strict";
+        cfg.oracle_check = detect != "none";
+        cfg
     });
-    let mut reference = Interp::with_io(&prog, IoCtx::default());
-    let ref_halt = reference
-        .run(budget.saturating_mul(50))
-        .unwrap_or_else(|e| {
-            eprintln!("reference interpreter faulted: {e}");
-            exit(1);
-        });
-    let ref_output = reference.io().output.clone();
-
-    // A fault-induced panic is a *detection* here; keep its default
-    // backtrace off stderr so campaign output stays readable.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    let mut tables: Vec<(String, std::collections::BTreeMap<&'static str, u64>)> = Vec::new();
-    for (label, opts) in &opt_list {
-        let mut table: std::collections::BTreeMap<&'static str, u64> =
-            INJECT_OUTCOMES.iter().map(|k| (*k, 0)).collect();
-        for trial in 0..trials {
-            let plan_seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(trial + 1));
-            let plan = FaultPlan::generate(plan_seed, faults, horizon, &kinds);
-            let mut cfg = SimConfig::with_opts(*opts);
-            cfg.fault_plan = Some(plan);
-            cfg.self_repair.enabled = self_repair;
-            match detect.as_str() {
-                "strict" => {}
-                "oracle" => cfg.fill.strict_verify = false,
-                _ => {
-                    cfg.fill.strict_verify = false;
-                    cfg.oracle_check = false;
-                }
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut sim = Simulator::new(&prog, cfg);
-                let exit_state = sim.run_budgeted(budget.saturating_mul(10), 50_000_000, None);
-                let fill_verify = sim.report().metrics.counter("fault.detected.fill_verify");
-                (
-                    exit_state,
-                    sim.faults_fired(),
-                    fill_verify,
-                    sim.io().output.clone(),
-                    sim.repairs().len() as u64,
-                )
-            }));
-            let key = match outcome {
-                Err(_) => "detected.panic",
-                Ok((run, fired, fill_verify, output, repairs)) => {
-                    *table.get_mut("injected").unwrap() += fired;
-                    match run {
-                        // An armed machine that still dies is the number the
-                        // repair ladder exists to drive to zero.
-                        Err(_) if self_repair => "fatal",
-                        Err(e) => match e.divergence() {
-                            Some(rep) if rep.kind == "segment-verify" => "detected.verify",
-                            Some(_) => "detected.oracle",
-                            None => "detected.simerror",
-                        },
-                        Ok(_) if fired == 0 => "unfired",
-                        Ok(RunExit::Exited(code)) => {
-                            let clean = output == ref_output && ref_halt == Halt::Exited(code);
-                            match (clean, repairs > 0, fill_verify > 0) {
-                                (true, true, _) => "recovered",
-                                (true, false, true) => "detected.fill_verify",
-                                (true, false, false) => "masked",
-                                (false, ..) => "silent",
-                            }
-                        }
-                        Ok(RunExit::Break) => {
-                            let clean = output == ref_output && ref_halt == Halt::Break;
-                            match (clean, repairs > 0, fill_verify > 0) {
-                                (true, true, _) => "recovered",
-                                (true, false, true) => "detected.fill_verify",
-                                (true, false, false) => "masked",
-                                (false, ..) => "silent",
-                            }
-                        }
-                        Ok(RunExit::CycleLimit | RunExit::InstrLimit | RunExit::Cancelled) => {
-                            "detected.watchdog"
-                        }
-                    }
-                }
-            };
-            *table.get_mut(key).unwrap() += 1;
-        }
-        tables.push((label.clone(), table));
-    }
-    std::panic::set_hook(prev_hook);
-
-    if json {
-        let mut results = Json::object();
-        for (label, table) in &tables {
-            let mut row = Json::object();
-            for key in INJECT_OUTCOMES {
-                row = row.with(key, table[key]);
-            }
-            results = results.with(label, row);
-        }
-        let doc = Json::object()
-            .with("bench", bench.name)
-            .with("seed", seed)
-            .with("trials", trials)
-            .with("faults_per_trial", faults)
-            .with("horizon", horizon)
-            .with("detect", detect.as_str())
-            .with("self_repair", self_repair)
-            .with(
-                "kinds",
-                Json::Arr(kinds.iter().map(|k| Json::from(k.name())).collect()),
-            )
-            .with("results", results);
-        println!("{}", doc.dump_pretty(2));
+    let rows = |t: &Tally| {
+        let outcomes = Outcome::KEYED.map(|(o, key)| (key, t.count(o)));
+        [vec![("injected", t.injected)], outcomes.to_vec()].concat()
+    };
+    if has(args, "--json") {
+        let extra = vec![
+            ("detect", Json::from(detect.as_str())),
+            ("self_repair", Json::from(self_repair)),
+        ];
+        println!("{}", sweep_json(&sweep, &tallies, extra, rows));
         return;
     }
 
-    println!(
-        "fault injection: bench={} seed={seed} trials={trials} faults/trial={faults} horizon={horizon} detect={detect} self-repair={}",
-        bench.name,
-        if self_repair { "on" } else { "off" }
-    );
+    let FaultSweep {
+        bench,
+        seed,
+        trials,
+        faults,
+        horizon,
+        ..
+    } = &sweep;
+    let repair = if self_repair { "on" } else { "off" };
+    println!("fault injection: bench={bench} seed={seed} trials={trials} faults/trial={faults} horizon={horizon} detect={detect} self-repair={repair}");
     print!("{:<22}", "outcome");
-    for (label, _) in &tables {
+    for (label, _) in &sweep.cells {
         print!(" {label:>12}");
     }
     println!();
-    for key in INJECT_OUTCOMES {
+    let columns: Vec<_> = tallies.iter().map(rows).collect();
+    for (i, (key, _)) in columns[0].iter().enumerate() {
         print!("{key:<22}");
-        for (_, table) in &tables {
-            print!(" {:>12}", table[key]);
+        for column in &columns {
+            print!(" {:>12}", column[i].1);
         }
         println!();
     }
-    let sdc: u64 = tables.iter().map(|(_, t)| t["silent"]).sum();
+    let sdc: u64 = tallies.iter().map(|t| t.count(Outcome::Silent)).sum();
     if sdc > 0 {
         println!("note: {sdc} silent-data-corruption run(s) — re-run with --detect strict to see the checkers catch them");
     }
 }
 
-/// Per-cell availability counters for one `heal` sweep cell.
-#[derive(Default)]
-struct HealCell {
-    recovered: u64,
-    clean: u64,
-    silent: u64,
-    hung: u64,
-    fatal: u64,
-    repairs: u64,
-    quarantines: u64,
-    disables: u64,
-    injected: u64,
-}
-
 /// Self-repair availability sweep: every trial runs with the repair
 /// ladder armed and the faults striking the trace-cache read path
 /// (fill-side strict verify off, so *containment* — not early detection —
-/// does the work). The sweep's contract is the acceptance bar: zero fatal
-/// divergences; the exit code is 1 if any armed run dies. Same seed ⇒
+/// does the work). Its columns are folds of the same [`Outcome`] counts
+/// `inject` prints. The sweep's contract is the acceptance bar: zero fatal
+/// runs; the exit code is 1 if any armed run dies. Same seed ⇒
 /// byte-identical JSON.
 fn cmd_heal(args: &[String]) {
-    let bench_name = flag_value(args, "--bench").unwrap_or_else(|| "m88k".into());
-    let bench = tracefill_workloads::by_name(&bench_name).unwrap_or_else(|| {
-        eprintln!(
-            "unknown benchmark `{bench_name}` (expected one of: {})",
-            tracefill_workloads::names().join(", ")
+    let ladder = RepairConfig::default();
+    let quarantine_after: u64 = parse_flag(args, "--quarantine-after", ladder.quarantine_after);
+    let disable_after: u64 = parse_flag(args, "--disable-after", ladder.disable_after);
+    let (sweep, tallies) = fault_sweep(args, |opts| {
+        let mut cfg = SimConfig::with_opts(opts);
+        cfg.fill.strict_verify = false;
+        cfg.self_repair.enabled = true;
+        cfg.self_repair.quarantine_after = quarantine_after;
+        cfg.self_repair.disable_after = disable_after;
+        cfg
+    });
+    if has(args, "--json") {
+        let ladder = Json::object()
+            .with("quarantine_after", quarantine_after)
+            .with("disable_after", disable_after);
+        let row = |t: &Tally| {
+            let trials = vec![("trials", sweep.trials)];
+            [trials, t.columns().to_vec(), vec![("injected", t.injected)]].concat()
+        };
+        println!(
+            "{}",
+            sweep_json(&sweep, &tallies, vec![("ladder", ladder)], row)
         );
-        exit(2);
-    });
-    let opt_list = parse_opt_list(&flag_value(args, "--opts").unwrap_or_else(|| "none:all".into()));
-    if opt_list.is_empty() {
-        usage();
-    }
-    let seed: u64 = parse_flag(args, "--seed", 1);
-    let trials: u64 = parse_flag(args, "--trials", 20);
-    let faults: usize = parse_flag(args, "--faults", 4);
-    let horizon: u64 = parse_flag(args, "--horizon", 400);
-    let budget: u64 = parse_flag(args, "--budget", 20_000);
-    let ladder_default = RepairConfig::default();
-    let quarantine_after: u64 =
-        parse_flag(args, "--quarantine-after", ladder_default.quarantine_after);
-    let disable_after: u64 = parse_flag(args, "--disable-after", ladder_default.disable_after);
-    let json = args.iter().any(|a| a == "--json");
-    let kinds = parse_fault_kinds(args);
-
-    let scale = ((budget / u64::from(bench.instrs_per_scale.max(1))).max(1)) as u32;
-    let prog = bench.program(scale).unwrap_or_else(|e| {
-        eprintln!("{bench_name}: {e}");
-        exit(1);
-    });
-    let mut reference = Interp::with_io(&prog, IoCtx::default());
-    let ref_halt = reference
-        .run(budget.saturating_mul(50))
-        .unwrap_or_else(|e| {
-            eprintln!("reference interpreter faulted: {e}");
-            exit(1);
-        });
-    let ref_output = reference.io().output.clone();
-
-    // A fault-induced panic counts as fatal here; keep its backtrace off
-    // stderr so the sweep output stays readable.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    let mut cells: Vec<(String, HealCell)> = Vec::new();
-    for (label, opts) in &opt_list {
-        let mut cell = HealCell::default();
-        for trial in 0..trials {
-            let plan_seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(trial + 1));
-            let plan = FaultPlan::generate(plan_seed, faults, horizon, &kinds);
-            let mut cfg = SimConfig::with_opts(*opts);
-            cfg.fault_plan = Some(plan);
-            cfg.fill.strict_verify = false;
-            cfg.self_repair.enabled = true;
-            cfg.self_repair.quarantine_after = quarantine_after;
-            cfg.self_repair.disable_after = disable_after;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut sim = Simulator::new(&prog, cfg);
-                let exit_state = sim.run_budgeted(budget.saturating_mul(10), 50_000_000, None);
-                let m = sim.report().metrics;
-                (
-                    exit_state,
-                    sim.faults_fired(),
-                    sim.io().output.clone(),
-                    sim.repairs().len() as u64,
-                    m.counter("repair.quarantined"),
-                    m.counter("repair.disabled"),
-                )
-            }));
-            let Ok((run, fired, output, repairs, quarantines, disables)) = outcome else {
-                cell.fatal += 1;
-                continue;
-            };
-            cell.injected += fired;
-            cell.repairs += repairs;
-            cell.quarantines += quarantines;
-            cell.disables += disables;
-            match run {
-                Err(_) => cell.fatal += 1,
-                Ok(RunExit::Exited(code)) => {
-                    let ok = output == ref_output && ref_halt == Halt::Exited(code);
-                    match (ok, repairs > 0) {
-                        (true, true) => cell.recovered += 1,
-                        (true, false) => cell.clean += 1,
-                        (false, _) => cell.silent += 1,
-                    }
-                }
-                Ok(RunExit::Break) => {
-                    let ok = output == ref_output && ref_halt == Halt::Break;
-                    match (ok, repairs > 0) {
-                        (true, true) => cell.recovered += 1,
-                        (true, false) => cell.clean += 1,
-                        (false, _) => cell.silent += 1,
-                    }
-                }
-                Ok(RunExit::CycleLimit | RunExit::InstrLimit | RunExit::Cancelled) => {
-                    cell.hung += 1;
-                }
-            }
-        }
-        cells.push((label.clone(), cell));
-    }
-    std::panic::set_hook(prev_hook);
-
-    let fatal_total: u64 = cells.iter().map(|(_, c)| c.fatal).sum();
-    if json {
-        let mut results = Json::object();
-        for (label, c) in &cells {
-            results = results.with(
-                label,
-                Json::object()
-                    .with("trials", trials)
-                    .with("recovered", c.recovered)
-                    .with("clean", c.clean)
-                    .with("silent", c.silent)
-                    .with("hung", c.hung)
-                    .with("fatal", c.fatal)
-                    .with("repairs", c.repairs)
-                    .with("quarantines", c.quarantines)
-                    .with("disables", c.disables)
-                    .with("injected", c.injected),
-            );
-        }
-        let doc = Json::object()
-            .with("bench", bench.name)
-            .with("seed", seed)
-            .with("trials", trials)
-            .with("faults_per_trial", faults)
-            .with("horizon", horizon)
-            .with(
-                "ladder",
-                Json::object()
-                    .with("quarantine_after", quarantine_after)
-                    .with("disable_after", disable_after),
-            )
-            .with(
-                "kinds",
-                Json::Arr(kinds.iter().map(|k| Json::from(k.name())).collect()),
-            )
-            .with("results", results);
-        println!("{}", doc.dump_pretty(2));
     } else {
-        println!(
-            "self-repair sweep: bench={} seed={seed} trials={trials} faults/trial={faults} horizon={horizon} ladder={quarantine_after}/{disable_after}",
-            bench.name
-        );
-        println!(
-            "{:<10} {:>9} {:>6} {:>6} {:>5} {:>6} {:>8} {:>11} {:>9} {:>7}",
-            "opts",
-            "recovered",
-            "clean",
-            "silent",
-            "hung",
-            "fatal",
-            "repairs",
-            "quarantines",
-            "disables",
-            "avail%"
-        );
-        for (label, c) in &cells {
-            let completed = c.recovered + c.clean + c.silent;
-            println!(
-                "{:<10} {:>9} {:>6} {:>6} {:>5} {:>6} {:>8} {:>11} {:>9} {:>7.1}",
-                label,
-                c.recovered,
-                c.clean,
-                c.silent,
-                c.hung,
-                c.fatal,
-                c.repairs,
-                c.quarantines,
-                c.disables,
-                100.0 * completed as f64 / trials.max(1) as f64,
-            );
+        let FaultSweep {
+            bench,
+            seed,
+            trials,
+            faults,
+            horizon,
+            ..
+        } = &sweep;
+        println!("self-repair sweep: bench={bench} seed={seed} trials={trials} faults/trial={faults} horizon={horizon} ladder={quarantine_after}/{disable_after}");
+        println!("{:<10}{}", "opts", Tally::default().table_row(true));
+        for ((label, _), t) in sweep.cells.iter().zip(&tallies) {
+            println!("{label:<10}{}", t.table_row(false));
         }
     }
-    if fatal_total > 0 {
-        eprintln!("heal: {fatal_total} fatal run(s) escaped the repair ladder");
-        exit(1);
+    let fatal: u64 = tallies.iter().map(Tally::fatal).sum();
+    if fatal > 0 {
+        die!(1, "heal: {fatal} fatal run(s) escaped the repair ladder");
     }
 }
 
@@ -959,27 +745,17 @@ fn cmd_heal(args: &[String]) {
 /// byte-identical bytes.
 fn cmd_adapt(args: &[String]) {
     let mut spec = AdaptSpec::default();
-    if let Some(benches) = flag_value(args, "--bench") {
-        if benches != "all" {
-            spec.benchmarks = benches
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-        }
+    if let Some(benches) = flag_value(args, "--bench").filter(|b| b != "all") {
+        spec.benchmarks = split_list("--bench", &benches, ',', "benchmarks", str::to_string);
     }
-    if let Some(opts) = flag_value(args, "--opts") {
-        spec.opt_specs = opts
-            .split(':')
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
+    if flag_value(args, "--opts").is_some() {
+        spec.opt_specs = parse_opt_axis(args, "")
+            .into_iter()
+            .map(|(s, _)| s)
             .collect();
     }
     if let Some(mode) = flag_value(args, "--mode") {
-        spec.mode = ControllerMode::parse(&mode).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
+        spec.mode = ControllerMode::parse(&mode).unwrap_or_else(|e| die!(2, "{e}"));
     }
     spec.seed = parse_flag(args, "--seed", spec.seed);
     spec.policy = parse_replace(args);
@@ -990,103 +766,49 @@ fn cmd_adapt(args: &[String]) {
     spec.max_cycles = parse_flag(args, "--max-cycles", spec.max_cycles);
     // Zero-sized axes silently measure nothing (an epoch of 0 fills can
     // never advance the controller); reject them instead of clamping.
-    if spec.epoch_fills == 0 {
-        eprintln!("--epoch must be at least 1 (the controller advances once per epoch of fills)");
-        exit(1);
-    }
-    if spec.budget == 0 {
-        eprintln!("--budget must be at least 1 (a zero-instruction window measures nothing)");
-        exit(1);
-    }
-    if spec.max_cycles == 0 {
-        eprintln!("--max-cycles must be at least 1 (a zero-cycle cap stops every run at birth)");
-        exit(1);
-    }
-    if spec.benchmarks.is_empty() {
-        eprintln!("--bench selected no benchmarks (empty campaign axis)");
-        exit(1);
-    }
-    if spec.opt_specs.is_empty() {
-        eprintln!("--opts selected no optimization sets (empty campaign axis)");
-        exit(1);
-    }
-    let out = flag_value(args, "--out");
-    if let Some(o) = &out {
-        ensure_writable_path(o);
-    }
-
-    let report = run_adapt(&spec).unwrap_or_else(|e| {
-        eprintln!("adapt failed: {e}");
-        exit(1);
-    });
-    let text = report.dump_pretty(2) + "\n";
-    if let Some(out) = out {
-        std::fs::write(&out, &text).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote adapt report -> {out}");
-    }
-    if args.iter().any(|a| a == "--json") {
-        print!("{text}");
+    require_nonzero("--epoch", spec.epoch_fills);
+    require_nonzero("--budget", spec.budget);
+    require_nonzero("--max-cycles", spec.max_cycles);
+    let out = out_flag(args, "--out");
+    let report = or_exit!(run_adapt(&spec), "adapt failed: ");
+    if !emit_report(args, out, "adapt", &report) {
         return;
     }
 
     // Human-readable table from the deterministic report.
-    println!(
-        "adapt: controller={} policy={} seed={} warmup={} budget={} epoch={}",
-        spec.mode.label(),
-        spec.policy.name(),
-        spec.seed,
-        spec.warmup,
-        spec.budget,
-        spec.epoch_fills
-    );
+    let (mode, policy) = (spec.mode.label(), spec.policy.name());
+    let AdaptSpec {
+        seed,
+        warmup,
+        budget,
+        epoch_fills,
+        ..
+    } = &spec;
+    println!("adapt: controller={mode} policy={policy} seed={seed} warmup={warmup} budget={budget} epoch={epoch_fills}");
     println!(
         "{:8} {:>10} {:<12} {:>10} {:>8}",
         "bench", "best IPC", "(opts)", "adapt IPC", "delta"
     );
-    let rows = report.get("benchmarks").and_then(Json::as_arr);
-    for row in rows.into_iter().flatten() {
-        let bench = row.get("bench").and_then(Json::as_str).unwrap_or("?");
-        let best = row.get("best_static");
-        let best_ipc = best
-            .and_then(|b| b.get("ipc"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let best_opts = best
-            .and_then(|b| b.get("opts"))
-            .and_then(Json::as_str)
-            .unwrap_or("?");
-        let adaptive_ipc = row
-            .get("adaptive")
-            .and_then(|a| a.get("ipc"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        println!(
-            "{:8} {:>10.3} {:<12} {:>10.3} {:>+7.1}%",
-            bench,
-            best_ipc,
-            best_opts,
-            adaptive_ipc,
-            (adaptive_ipc / best_ipc.max(1e-12) - 1.0) * 100.0
+    for row in report
+        .get("benchmarks")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+    {
+        let (bench, opts) = (text(row, &["bench"]), text(row, &["best_static", "opts"]));
+        let (best, adaptive) = (
+            num(row, &["best_static", "ipc"]),
+            num(row, &["adaptive", "ipc"]),
         );
+        let delta = (adaptive / best.max(1e-12) - 1.0) * 100.0;
+        println!("{bench:8} {best:>10.3} {opts:<12} {adaptive:>10.3} {delta:>+7.1}%");
     }
-    if let Some(s) = report.get("summary") {
-        let mb = s
-            .get("mean_best_static_ipc")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let ma = s
-            .get("mean_adaptive_ipc")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let wins = s.get("adaptive_wins").and_then(Json::as_u64).unwrap_or(0);
-        let n = s.get("benches").and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "mean best-static IPC {mb:.3}, mean adaptive IPC {ma:.3} ({wins}/{n} benches at or above best static)"
-        );
-    }
+    println!(
+        "mean best-static IPC {:.3}, mean adaptive IPC {:.3} ({}/{} benches at or above best static)",
+        num(&report, &["summary", "mean_best_static_ipc"]),
+        num(&report, &["summary", "mean_adaptive_ipc"]),
+        count(&report, &["summary", "adaptive_wins"]),
+        count(&report, &["summary", "benches"]),
+    );
 }
 
 /// Segment-lifetime ledger report: runs each benchmark with the ledger
@@ -1094,29 +816,7 @@ fn cmd_adapt(args: &[String]) {
 /// hits, eviction, retired uops — into the per-pass ROI report. The JSON
 /// is byte-deterministic: two same-seed invocations emit identical bytes.
 fn cmd_ledger(args: &[String]) {
-    let bench_arg = flag_value(args, "--bench").unwrap_or_else(|| "all".into());
-    let benches: Vec<&'static str> = if bench_arg == "all" {
-        tracefill_workloads::names().to_vec()
-    } else {
-        bench_arg
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|name| {
-                tracefill_workloads::by_name(name)
-                    .map(|b| b.name)
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown benchmark `{name}` (expected one of: {})",
-                            tracefill_workloads::names().join(", ")
-                        );
-                        exit(2);
-                    })
-            })
-            .collect()
-    };
-    if benches.is_empty() {
-        usage();
-    }
+    let benchmarks = parse_benches(args, "all");
     let opt_spec = flag_value(args, "--opts").unwrap_or_else(|| "all".into());
     let opts = parse_opts(&opt_spec);
     let policy = parse_replace(args);
@@ -1126,41 +826,39 @@ fn cmd_ledger(args: &[String]) {
     let latency: u32 = parse_flag(args, "--latency", 1);
     let top: usize = parse_flag(args, "--top", 5);
     let max_cycles: u64 = parse_flag(args, "--max-cycles", 50_000_000);
-    let json = args.iter().any(|a| a == "--json");
-    let out = flag_value(args, "--out");
-    if let Some(o) = &out {
-        ensure_writable_path(o);
-    }
+    let out = out_flag(args, "--out");
 
+    let spec = CampaignSpec {
+        name: "ledger".into(),
+        opt_sets: vec![OptPoint {
+            label: opt_spec.clone(),
+            opts,
+        }],
+        fill_latencies: vec![latency],
+        benchmarks,
+        seeds: vec![seed],
+        warmup,
+        budget,
+        max_cycles,
+        policies: vec![policy.name().to_string()],
+        ledger: true,
+        ..CampaignSpec::fig8()
+    };
     let mut bench_docs = Json::object();
     let mut human = String::new();
-    for name in &benches {
-        let bench = tracefill_workloads::by_name(name).expect("validated above");
-        let prog = bench
-            .program(bench.scale_for((warmup + budget) * 2))
-            .unwrap_or_else(|e| {
-                eprintln!("{name}: kernel failed to assemble: {e}");
-                exit(1);
-            });
-        let mut cfg = SimConfig::with_opts(opts);
-        cfg.fill.latency = latency;
-        cfg.tcache.policy = policy;
-        cfg.ledger = true;
-        let mut sim = Simulator::new(&prog, cfg);
-        sim.run_budgeted(warmup + budget, max_cycles, None)
-            .unwrap_or_else(|e| {
-                eprintln!("{name}: simulation error: {e}");
-                exit(1);
-            });
+    for desc in spec.expand() {
+        let name = desc.bench.as_str();
+        let prog = or_exit!(runner::build_program(&desc), "");
+        let mut sim = Simulator::new(&prog, runner::sim_config(&desc));
+        let run = sim.run_budgeted(warmup + budget, max_cycles, None);
+        or_exit!(run, "{name}: simulation error: ");
         let rep = sim.ledger().report(sim.cycle(), top);
-        render_ledger_bench(&mut human, name, &rep);
-        bench_docs = bench_docs.with(
-            name,
-            Json::object()
-                .with("cycles", sim.cycle())
-                .with("retired", sim.stats().retired)
-                .with("ledger", rep),
-        );
+        human.push_str(&tracefill_core::ledger::render_report(name, &rep));
+        let doc = Json::object()
+            .with("cycles", sim.cycle())
+            .with("retired", sim.stats().retired)
+            .with("ledger", rep);
+        bench_docs = bench_docs.with(name, doc);
     }
     let doc = Json::object()
         .with("opts", opt_spec.as_str())
@@ -1171,17 +869,7 @@ fn cmd_ledger(args: &[String]) {
         .with("budget", budget)
         .with("top", top)
         .with("benches", bench_docs);
-    let text = doc.dump_pretty(2) + "\n";
-    if let Some(o) = &out {
-        std::fs::write(o, &text).unwrap_or_else(|e| {
-            eprintln!("cannot write {o}: {e}");
-            exit(1);
-        });
-        eprintln!("wrote ledger report -> {o}");
-    }
-    if json {
-        print!("{text}");
-    } else {
+    if emit_report(args, out, "ledger", &doc) {
         println!(
             "segment ledger: opts={opt_spec} replace={} latency={latency} seed={seed} warmup={warmup} budget={budget}",
             policy.name()
@@ -1190,145 +878,59 @@ fn cmd_ledger(args: &[String]) {
     }
 }
 
-/// Renders one benchmark's ledger report as the human-readable block of
-/// `tracefill ledger`. Reads only the deterministic report JSON, so the
-/// text output is as reproducible as the `--json` one.
-fn render_ledger_bench(s: &mut String, name: &str, rep: &Json) {
-    use std::fmt::Write;
-    let n = |key: &str| rep.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let q = |key: &str, p: f64| {
-        rep.get(key)
-            .and_then(|j| tracefill_util::Histogram::from_json(j).ok())
-            .map_or(0.0, |h| h.quantile(p))
-    };
-    let _ = writeln!(
-        s,
-        "\n{name}: {} segments ({} resident, {} conflict-evicted, {} refresh-displaced, {} dead-on-arrival)",
-        n("segments"),
-        n("resident"),
-        rep.get("evicted").map_or(0, |e| e.get("conflict").and_then(Json::as_u64).unwrap_or(0)),
-        rep.get("evicted").map_or(0, |e| e.get("refresh").and_then(Json::as_u64).unwrap_or(0)),
-        n("doa"),
-    );
-    let _ = writeln!(
-        s,
-        "  hits {}  uops fetched/retired/squashed {}/{}/{}  reuse p50/p90 {:.1}/{:.1}  residency p50 {:.0} cycles",
-        n("hits"),
-        n("uops_fetched"),
-        n("uops_retired"),
-        n("uops_squashed"),
-        q("reuse", 0.5),
-        q("reuse", 0.9),
-        q("residency", 0.5),
-    );
-    let _ = write!(s, "  est cycles saved:");
-    if let Some(per_pass) = rep.get("per_pass") {
-        for pass in ["moves", "cse", "reassoc", "scadd", "placement"] {
-            let saved = per_pass
-                .get(pass)
-                .and_then(|p| p.get("est_cycles_saved"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            let _ = write!(s, " {pass}={saved}");
-        }
-    }
-    let _ = writeln!(s);
-    let top = rep.get("top").and_then(Json::as_arr);
-    if top.is_some_and(|t| !t.is_empty()) {
-        let _ = writeln!(
-            s,
-            "  {:>6} {:>10} {:>4} {:<13} {:>6} {:>9} {:>6}  passes",
-            "seg", "pc", "len", "end", "hits", "uops_ret", "saved"
-        );
-    }
-    for row in top.into_iter().flatten() {
-        let g = |key: &str| row.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let passes: Vec<&str> = row
-            .get("passes")
-            .and_then(Json::as_arr)
-            .into_iter()
-            .flatten()
-            .filter_map(Json::as_str)
-            .collect();
-        let _ = writeln!(
-            s,
-            "  {:>6} {:#010x} {:>4} {:<13} {:>6} {:>9} {:>6}  {}",
-            g("seg_id"),
-            g("start_pc"),
-            g("len"),
-            row.get("end").and_then(Json::as_str).unwrap_or("?"),
-            g("hits"),
-            g("uops_retired"),
-            g("est_cycles_saved"),
-            if passes.is_empty() {
-                "-".to_string()
-            } else {
-                passes.join("+")
-            },
-        );
-    }
-}
-
 fn cmd_report(args: &[String]) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        usage()
-    };
-    let (records, malformed) = store::load_records_counted(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
+    let path = positional(args);
+    let (records, malformed) = or_exit!(store::load_records_counted(path), "cannot read {path}: ");
     if malformed > 0 {
         eprintln!("warning: {path}: skipped {malformed} malformed row(s)");
     }
     if records.is_empty() {
-        eprintln!("{path}: no parseable run records");
-        exit(1);
+        die!(1, "{path}: no parseable run records");
     }
+    // `all` prints every table, in this order, separated by blank lines.
+    type Table = fn(&[RunRecord]) -> String;
+    let tables: [(&str, Table); 6] = [
+        ("summary", report::summary),
+        ("fig8", report::fig8_table),
+        ("table2", report::table2_table),
+        ("cpi", report::cpi_table),
+        ("ledger", report::ledger_table),
+        ("repair", report::availability_table),
+    ];
     let format = flag_value(args, "--format").unwrap_or_else(|| "all".into());
-    match format.as_str() {
-        "fig8" => print!("{}", report::fig8_table(&records)),
-        "table2" => print!("{}", report::table2_table(&records)),
-        "cpi" => print!("{}", report::cpi_table(&records)),
-        "ledger" => print!("{}", report::ledger_table(&records)),
-        "repair" => print!("{}", report::availability_table(&records)),
-        "summary" => print!("{}", report::summary(&records)),
-        "all" => {
-            print!("{}", report::summary(&records));
-            println!();
-            print!("{}", report::fig8_table(&records));
-            println!();
-            print!("{}", report::table2_table(&records));
-            println!();
-            print!("{}", report::cpi_table(&records));
-            println!();
-            print!("{}", report::ledger_table(&records));
-            println!();
-            print!("{}", report::availability_table(&records));
-        }
-        other => {
-            eprintln!(
-                "unknown report format `{other}` (expected fig8, table2, cpi, ledger, repair, summary, all)"
-            );
-            exit(2);
-        }
+    let selected: Vec<String> = tables
+        .iter()
+        .filter(|(name, _)| format == "all" || format == *name)
+        .map(|(_, table)| table(&records))
+        .collect();
+    if selected.is_empty() {
+        die!(
+            2,
+            "unknown report format `{format}` (expected fig8, table2, cpi, ledger, repair, summary, all)"
+        )
     }
+    print!("{}", selected.join("\n"));
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("interp") => cmd_interp(&args[1..]),
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("suite") => cmd_suite(&args[1..]),
-        Some("ledger") => cmd_ledger(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("inject") => cmd_inject(&args[1..]),
-        Some("heal") => cmd_heal(&args[1..]),
-        Some("adapt") => cmd_adapt(&args[1..]),
+    let Some((cmd, rest)) = args.split_first() else {
+        usage()
+    };
+    let run: fn(&[String]) = match cmd.as_str() {
+        "run" => cmd_run,
+        "trace" => cmd_trace,
+        "interp" => cmd_interp,
+        "characterize" => cmd_characterize,
+        "suite" => cmd_suite,
+        "ledger" => cmd_ledger,
+        "campaign" => cmd_campaign,
+        "report" => cmd_report,
+        "verify" => cmd_verify,
+        "inject" => cmd_inject,
+        "heal" => cmd_heal,
+        "adapt" => cmd_adapt,
         _ => usage(),
-    }
+    };
+    run(rest);
 }

@@ -15,73 +15,56 @@
 //! | `fig8_combined` | Figure 8 — combined gain at fill latency 1/5/10 |
 //! | `table2_coverage` | Table 2 — % of instructions transformed |
 //! | `ablations` | beyond-paper design-choice sweeps |
-//! | `components` | Criterion micro-benchmarks of the core structures |
 //!
 //! Instruction budgets are environment-tunable: `TRACEFILL_BUDGET` (measured
 //! window, default 150 000 retired instructions per run) and
 //! `TRACEFILL_WARMUP` (default 150 000 — trace-cache, bias-table and
 //! predictor state need a long run-in before the steady state is
 //! representative).
+//!
+//! Every figure and table except the ablations runs through the harness
+//! campaign engine ([`campaign_records`]); the ablations vary machine
+//! settings that are not grid axes, so they keep [`run_with`].
 
 #![warn(missing_docs)]
 
 use tracefill_core::config::OptConfig;
-use tracefill_harness::{run_campaign, CampaignSpec, ResultStore, RunRecord};
-use tracefill_sim::{SimConfig, Simulator, Stats};
+use tracefill_harness::{report, run_campaign, CampaignSpec, OptPoint, ResultStore, RunRecord};
+use tracefill_sim::{SimConfig, Simulator};
 use tracefill_workloads::Benchmark;
 
-/// Measured window per run, in retired instructions.
-pub fn budget() -> u64 {
-    std::env::var("TRACEFILL_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150_000)
+/// An integer environment knob, or `default` when unset.
+///
+/// # Panics
+///
+/// Panics on a value that is not an integer.
+fn env_knob(key: &str, default: u64) -> u64 {
+    std::env::var(key).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{key} must be an integer"))
+    })
 }
 
-/// Warmup run-in before the measured window.
-pub fn warmup() -> u64 {
-    std::env::var("TRACEFILL_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150_000)
-}
-
-/// Result of one measured simulation window.
-#[derive(Debug, Clone, Copy)]
-pub struct RunResult {
-    /// IPC over the measured window.
-    pub ipc: f64,
-    /// Full cumulative statistics at the end of the run.
-    pub stats: Stats,
-}
-
-/// Runs `bench` under `cfg` for the standard warmup + budget window.
+/// Runs `bench` under `cfg` for the standard warmup + budget window and
+/// returns the IPC over the measured window.
 ///
 /// # Panics
 ///
 /// Panics on simulator errors — the oracle lockstep check is enabled, so a
 /// completed run is an architecturally verified run.
-pub fn run_with(bench: &Benchmark, cfg: SimConfig) -> RunResult {
-    let total = warmup() + budget();
+pub fn run_with(bench: &Benchmark, cfg: SimConfig) -> f64 {
+    let warmup = env_knob("TRACEFILL_WARMUP", 150_000);
+    let budget = env_knob("TRACEFILL_BUDGET", 150_000);
     let prog = bench
-        .program(bench.scale_for(total * 2))
+        .program(bench.scale_for((warmup + budget) * 2))
         .expect("kernel assembles");
     let mut sim = Simulator::new(&prog, cfg);
-    sim.run_instrs(warmup())
+    sim.run_instrs(warmup)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
     let (c0, r0) = (sim.cycle(), sim.stats().retired);
-    sim.run_instrs(budget())
+    sim.run_instrs(budget)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-    let ipc = (sim.stats().retired - r0) as f64 / (sim.cycle() - c0).max(1) as f64;
-    RunResult {
-        ipc,
-        stats: sim.stats(),
-    }
-}
-
-/// Runs `bench` with a given optimization set on the paper's machine.
-pub fn run_opts(bench: &Benchmark, opts: OptConfig) -> RunResult {
-    run_with(bench, SimConfig::with_opts(opts))
+    (sim.stats().retired - r0) as f64 / (sim.cycle() - c0).max(1) as f64
 }
 
 /// Runs `spec` through the campaign engine into a resumable store under
@@ -97,36 +80,42 @@ pub fn run_opts(bench: &Benchmark, opts: OptConfig) -> RunResult {
 /// Panics on store I/O errors — figure regeneration has no useful
 /// degraded mode without its results file.
 pub fn campaign_records(mut spec: CampaignSpec) -> Vec<RunRecord> {
-    if let Ok(v) = std::env::var("TRACEFILL_WARMUP") {
-        spec.warmup = v.parse().expect("TRACEFILL_WARMUP must be an integer");
-    }
-    if let Ok(v) = std::env::var("TRACEFILL_BUDGET") {
-        spec.budget = v.parse().expect("TRACEFILL_BUDGET must be an integer");
-    }
-    let jobs = std::env::var("TRACEFILL_JOBS")
-        .ok()
-        .map(|v| v.parse().expect("TRACEFILL_JOBS must be an integer"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-    let dir = std::path::Path::new("target").join("campaigns");
-    std::fs::create_dir_all(&dir).expect("create target/campaigns");
-    let path = dir.join(format!(
-        "{}-w{}-b{}.jsonl",
-        spec.name, spec.warmup, spec.budget
-    ));
+    spec.warmup = env_knob("TRACEFILL_WARMUP", spec.warmup);
+    spec.budget = env_knob("TRACEFILL_BUDGET", spec.budget);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let jobs = env_knob("TRACEFILL_JOBS", cores as u64) as usize;
+    std::fs::create_dir_all("target/campaigns").expect("create target/campaigns");
+    let (name, warmup, budget) = (&spec.name, spec.warmup, spec.budget);
+    let path = format!("target/campaigns/{name}-w{warmup}-b{budget}.jsonl");
     let mut store = ResultStore::open(&path).expect("open campaign store");
     let summary = run_campaign(&spec, &mut store, jobs, true).expect("campaign I/O");
-    eprintln!(
-        "[{} runs, {} resumed, {} failed -> {}]",
-        summary.total,
-        summary.skipped,
-        summary.failed,
-        path.display()
-    );
+    let (total, resumed, failed) = (summary.total, summary.skipped, summary.failed);
+    eprintln!("[{total} runs, {resumed} resumed, {failed} failed -> {path}]");
     store.load().expect("load campaign store")
+}
+
+/// Runs the whole suite at fill latency 1 under `none` and `opts`
+/// through [`campaign_records`]. Every figure uses the same campaign name,
+/// so figures that need the same runs share them from one store.
+///
+/// # Panics
+///
+/// Panics if any run failed — a figure has no row for a failed run.
+pub fn suite_records(opts: OptConfig) -> Vec<RunRecord> {
+    let point = |opts: OptConfig| OptPoint {
+        label: opts.label(),
+        opts,
+    };
+    let records = campaign_records(CampaignSpec {
+        name: "suite".to_string(),
+        opt_sets: vec![point(OptConfig::none()), point(opts)],
+        fill_latencies: vec![1],
+        ..CampaignSpec::fig8()
+    });
+    if let Some(r) = records.iter().find(|r| !r.status.is_ok()) {
+        panic!("{} [{}]: {:?}", r.bench, r.opt_label, r.status);
+    }
+    records
 }
 
 /// Prints the standard per-benchmark improvement table for one
@@ -137,21 +126,15 @@ pub fn improvement_table(title: &str, opts: OptConfig, paper: &dyn Fn(&Benchmark
         "{:6} {:>9} {:>9} {:>8} {:>10}",
         "bench", "base IPC", "opt IPC", "ours", "paper"
     );
-    let mut ours_sum = 0.0;
-    let mut n = 0.0;
-    for b in tracefill_workloads::suite() {
-        let base = run_opts(&b, OptConfig::none());
-        let opt = run_opts(&b, opts);
-        let imp = (opt.ipc / base.ipc - 1.0) * 100.0;
-        let paper_s = paper(&b)
-            .map(|p| format!("{p:+.1}%"))
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:6} {:9.3} {:9.3} {:+7.1}% {:>10}",
-            b.name, base.ipc, opt.ipc, imp, paper_s
-        );
-        ours_sum += imp;
-        n += 1.0;
+    let label = opts.label();
+    let cells = report::aggregates(&suite_records(opts));
+    let cell = cells.iter().find(|c| c.opt_label == label);
+    let cell = cell.expect("suite cell");
+    for (bench, base, ipc, imp) in &cell.per_bench {
+        let paper = tracefill_workloads::by_name(bench).and_then(|b| paper(&b));
+        let paper = paper.map_or_else(|| "-".into(), |p| format!("{p:+.1}%"));
+        println!("{bench:6} {base:9.3} {ipc:9.3} {imp:+7.1}% {paper:>10}");
     }
-    println!("{:6} {:>9} {:>9} {:+7.1}%", "mean", "", "", ours_sum / n);
+    let mean = cell.arith_mean_pct;
+    println!("{:6} {:>9} {:>9} {mean:+7.1}%", "mean", "", "");
 }

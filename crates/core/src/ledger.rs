@@ -458,6 +458,77 @@ impl SegRecord {
     }
 }
 
+/// Renders a [`Ledger::report`] as the human-readable block `tracefill
+/// ledger` prints for benchmark `name`. It reads only the deterministic
+/// report, so the text is as reproducible as the JSON.
+pub fn render_report(name: &str, rep: &Json) -> String {
+    use std::fmt::Write;
+    let n = |v: &Json, path: &[&str]| {
+        let member = path.iter().try_fold(v, |v, k| v.get(k));
+        member.and_then(Json::as_u64).unwrap_or(0)
+    };
+    let q = |key: &str, p: f64| {
+        let hist = rep.get(key).and_then(|j| Histogram::from_json(j).ok());
+        hist.map_or(0.0, |h| h.quantile(p))
+    };
+    let get = |key| n(rep, &[key]);
+    let (segs, resident, doa, hits) = (get("segments"), get("resident"), get("doa"), get("hits"));
+    let (conflict, refresh) = (
+        n(rep, &["evicted", "conflict"]),
+        n(rep, &["evicted", "refresh"]),
+    );
+    let (fetched, retired) = (get("uops_fetched"), get("uops_retired"));
+    let squashed = get("uops_squashed");
+    let (reuse50, reuse90, resid50) = (q("reuse", 0.5), q("reuse", 0.9), q("residency", 0.5));
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "\n{name}: {segs} segments ({resident} resident, {conflict} conflict-evicted, {refresh} refresh-displaced, {doa} dead-on-arrival)"
+    );
+    let _ = writeln!(
+        s,
+        "  hits {hits}  uops fetched/retired/squashed {fetched}/{retired}/{squashed}  reuse p50/p90 {reuse50:.1}/{reuse90:.1}  residency p50 {resid50:.0} cycles"
+    );
+    let _ = write!(s, "  est cycles saved:");
+    for pass in ["moves", "cse", "reassoc", "scadd", "placement"] {
+        let saved = n(rep, &["per_pass", pass, "est_cycles_saved"]);
+        let _ = write!(s, " {pass}={saved}");
+    }
+    s.push('\n');
+    let top = rep.get("top").and_then(Json::as_arr).unwrap_or(&[]);
+    if !top.is_empty() {
+        let _ = writeln!(
+            s,
+            "  {:>6} {:>10} {:>4} {:<13} {:>6} {:>9} {:>6}  passes",
+            "seg", "pc", "len", "end", "hits", "uops_ret", "saved"
+        );
+    }
+    for row in top {
+        let [seg, pc, len, hits, uops, saved] = [
+            "seg_id",
+            "start_pc",
+            "len",
+            "hits",
+            "uops_retired",
+            "est_cycles_saved",
+        ]
+        .map(|key| n(row, &[key]));
+        let end = row.get("end").and_then(Json::as_str).unwrap_or("?");
+        let passes = row.get("passes").and_then(Json::as_arr).unwrap_or(&[]);
+        let passes: Vec<&str> = passes.iter().filter_map(Json::as_str).collect();
+        let passes = if passes.is_empty() {
+            "-".to_string()
+        } else {
+            passes.join("+")
+        };
+        let _ = writeln!(
+            s,
+            "  {seg:>6} {pc:#010x} {len:>4} {end:<13} {hits:>6} {uops:>9} {saved:>6}  {passes}"
+        );
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

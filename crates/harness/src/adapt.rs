@@ -7,9 +7,9 @@
 //! wall-clock fields, members in fixed order — so two same-seed
 //! invocations produce byte-identical output.
 
-use crate::grid::{parse_opt_spec, CampaignSpec, OptPoint};
+use crate::grid::{CampaignSpec, OptPoint};
 use crate::runner::{execute, RunRecord};
-use tracefill_core::config::{ControllerMode, ReplacementKind};
+use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
 use tracefill_util::Json;
 
 /// What an adaptive comparison sweeps.
@@ -91,31 +91,10 @@ impl AdaptSpec {
     }
 }
 
-/// Pulls every `policy.arm.<label>` counter out of a record's metrics, in
-/// deterministic (registry) order.
-fn arm_counters(rec: &RunRecord) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    if let Some(Json::Obj(members)) = rec.metrics.to_json().get("counters") {
-        for (k, v) in members {
-            if let Some(label) = k.strip_prefix("policy.arm.") {
-                out.push((label.to_string(), v.as_u64().unwrap_or(0)));
-            }
-        }
-    }
-    out
-}
-
 fn run_row(rec: &RunRecord) -> Result<Json, String> {
     if !rec.status.is_ok() {
-        return Err(format!(
-            "{} [{}] failed: {}",
-            rec.bench,
-            rec.opt_label,
-            rec.to_json()
-                .get("status")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-        ));
+        let (bench, opts, status) = (&rec.bench, &rec.opt_label, rec.status.tag());
+        return Err(format!("{bench} [{opts}] failed: {status}"));
     }
     Ok(Json::object()
         .with("opts", rec.opt_label.as_str())
@@ -145,7 +124,7 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
     }
     let mut static_sets = Vec::new();
     for s in &spec.opt_specs {
-        let opts = parse_opt_spec(s)?;
+        let opts = OptConfig::from_name(s)?;
         static_sets.push(OptPoint {
             label: opts.label(),
             opts,
@@ -153,7 +132,7 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
     }
     let adaptive_sets = vec![OptPoint {
         label: "all".to_string(),
-        opts: tracefill_core::config::OptConfig::all(),
+        opts: OptConfig::all(),
     }];
 
     let static_runs = spec.campaign(static_sets, "off".to_string()).expand();
@@ -189,9 +168,12 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
             .with("controller", rec.controller.as_str())
             .with("epochs", rec.metrics.counter("policy.epochs"))
             .with("evictions", rec.metrics.counter("tcache.evictions"));
+        // Every `policy.arm.<label>` counter, in registry order.
         let mut arms = Json::object();
-        for (label, n) in arm_counters(&rec) {
-            arms = arms.with(label.as_str(), n);
+        for (name, n) in rec.metrics.counters() {
+            if let Some(label) = name.strip_prefix("policy.arm.") {
+                arms = arms.with(label, n);
+            }
         }
         adaptive = adaptive.with("arm_epochs", arms);
 
@@ -221,7 +203,7 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite IPC sums"))
         .expect("non-empty opt axis");
-    let best_set_label = parse_opt_spec(&spec.opt_specs[best_set_idx])
+    let best_set_label = OptConfig::from_name(&spec.opt_specs[best_set_idx])
         .expect("validated above")
         .label();
     Ok(Json::object()
@@ -237,12 +219,7 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
                 .with("epoch_fills", spec.epoch_fills)
                 .with(
                     "opts",
-                    Json::Arr(
-                        spec.opt_specs
-                            .iter()
-                            .map(|s| Json::from(s.as_str()))
-                            .collect(),
-                    ),
+                    spec.opt_specs.iter().map(String::as_str).collect::<Json>(),
                 ),
         )
         .with("benchmarks", Json::Arr(bench_rows))

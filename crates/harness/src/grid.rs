@@ -20,26 +20,6 @@ pub struct OptPoint {
     pub opts: OptConfig,
 }
 
-/// Parses an optimization spec: `all`, `none`, or a comma list of
-/// `moves`, `reassoc`, `scadd`, `placement`/`place`, `cse`.
-///
-/// Delegates to [`OptConfig::from_name`] — the single opt-set parser for
-/// the workspace.
-///
-/// # Errors
-///
-/// Returns the offending token.
-pub fn parse_opt_spec(spec: &str) -> Result<OptConfig, String> {
-    OptConfig::from_name(spec)
-}
-
-/// The canonical label for an optimization set (inverse of
-/// [`parse_opt_spec`] up to ordering). Delegates to [`OptConfig::label`].
-#[must_use]
-pub fn opt_label(o: &OptConfig) -> String {
-    o.label()
-}
-
 /// One fully resolved point of the campaign grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunDescriptor {
@@ -268,47 +248,27 @@ impl CampaignSpec {
     /// Serializes the spec (the on-disk campaign format).
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let strs = |v: &[String]| v.iter().map(String::as_str).collect::<Json>();
         Json::object()
             .with("name", self.name.as_str())
             .with(
                 "opts",
-                Json::Arr(
-                    self.opt_sets
-                        .iter()
-                        .map(|o| Json::from(o.label.as_str()))
-                        .collect(),
-                ),
+                self.opt_sets
+                    .iter()
+                    .map(|o| o.label.as_str())
+                    .collect::<Json>(),
             )
             .with(
                 "fill_latencies",
-                Json::Arr(self.fill_latencies.iter().map(|&l| Json::from(l)).collect()),
+                self.fill_latencies.iter().copied().collect::<Json>(),
             )
-            .with(
-                "benchmarks",
-                Json::Arr(
-                    self.benchmarks
-                        .iter()
-                        .map(|b| Json::from(b.as_str()))
-                        .collect(),
-                ),
-            )
-            .with(
-                "seeds",
-                Json::Arr(self.seeds.iter().map(|&s| Json::from(s)).collect()),
-            )
+            .with("benchmarks", strs(&self.benchmarks))
+            .with("seeds", self.seeds.iter().copied().collect::<Json>())
             .with("warmup", self.warmup)
             .with("budget", self.budget)
             .with("max_cycles", self.max_cycles)
             .with("wall_limit_ms", self.wall_limit_ms)
-            .with(
-                "policies",
-                Json::Arr(
-                    self.policies
-                        .iter()
-                        .map(|p| Json::from(p.as_str()))
-                        .collect(),
-                ),
-            )
+            .with("policies", strs(&self.policies))
             .with("controller", self.controller.as_str())
             .with("epoch_fills", self.epoch_fills)
             .with("ledger", self.ledger)
@@ -331,25 +291,43 @@ impl CampaignSpec {
             .and_then(Json::as_str)
             .unwrap_or("campaign")
             .to_string();
-
-        let opt_sets = match v.get("opts").and_then(Json::as_arr) {
-            None => defaults.opt_sets,
-            Some(items) => {
-                let mut sets = Vec::new();
-                for item in items {
-                    let label = item
-                        .as_str()
-                        .ok_or_else(|| format!("`opts` entries must be strings, got {item:?}"))?;
-                    let opts = parse_opt_spec(label)?;
-                    sets.push(OptPoint {
-                        label: opt_label(&opts),
-                        opts,
-                    });
-                }
-                sets
+        // A string-array member, if present.
+        let strings = |key: &str| -> Result<Option<Vec<&str>>, String> {
+            let Some(items) = v.get(key).and_then(Json::as_arr) else {
+                return Ok(None);
+            };
+            let strs = items.iter().map(|item| {
+                item.as_str()
+                    .ok_or_else(|| format!("`{key}` entries must be strings, got {item:?}"))
+            });
+            strs.collect::<Result<_, _>>().map(Some)
+        };
+        let num = |key: &str, dflt: u64| -> Result<u64, String> {
+            match v.get(key) {
+                None => Ok(dflt),
+                Some(j) => j.as_u64().ok_or_else(|| format!("bad `{key}`: {j:?}")),
+            }
+        };
+        let flag = |key: &str, dflt: bool| -> Result<bool, String> {
+            match v.get(key) {
+                None => Ok(dflt),
+                Some(j) => j.as_bool().ok_or_else(|| format!("bad `{key}`: {j:?}")),
             }
         };
 
+        let opt_sets = match strings("opts")? {
+            None => defaults.opt_sets,
+            Some(labels) => labels
+                .into_iter()
+                .map(|l| {
+                    let opts = OptConfig::from_name(l)?;
+                    Ok(OptPoint {
+                        label: opts.label(),
+                        opts,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+        };
         let fill_latencies = match v.get("fill_latencies").and_then(Json::as_arr) {
             None => defaults.fill_latencies,
             Some(items) => items
@@ -361,21 +339,17 @@ impl CampaignSpec {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };
-
-        let benchmarks = match v.get("benchmarks").and_then(Json::as_arr) {
+        let benchmarks = match strings("benchmarks")? {
             None => defaults.benchmarks,
-            Some(items) => {
-                let mut names = Vec::new();
-                for item in items {
-                    let name = item.as_str().ok_or_else(|| {
-                        format!("`benchmarks` entries must be strings, got {item:?}")
-                    })?;
+            Some(names) => {
+                let mut out = Vec::new();
+                for name in names {
                     if name == "all" {
-                        names.extend(tracefill_workloads::names().iter().map(|n| n.to_string()));
+                        out.extend(tracefill_workloads::names().iter().map(|n| n.to_string()));
                     } else if name.starts_with("gen:")
                         || tracefill_workloads::by_name(name).is_some()
                     {
-                        names.push(name.to_string());
+                        out.push(name.to_string());
                     } else {
                         return Err(format!(
                             "unknown benchmark `{name}` (try one of: {})",
@@ -383,10 +357,9 @@ impl CampaignSpec {
                         ));
                     }
                 }
-                names
+                out
             }
         };
-
         let seeds = match v.get("seeds").and_then(Json::as_arr) {
             None => defaults.seeds,
             Some(items) => items
@@ -394,27 +367,13 @@ impl CampaignSpec {
                 .map(|i| i.as_u64().ok_or_else(|| format!("bad seed {i:?}")))
                 .collect::<Result<Vec<_>, _>>()?,
         };
-
-        let num = |key: &str, dflt: u64| -> Result<u64, String> {
-            match v.get(key) {
-                None => Ok(dflt),
-                Some(j) => j.as_u64().ok_or_else(|| format!("bad `{key}`: {j:?}")),
-            }
-        };
-        let policies = match v.get("policies").and_then(Json::as_arr) {
+        let policies = match strings("policies")? {
             None => defaults.policies,
-            Some(items) => {
-                let mut names = Vec::new();
-                for item in items {
-                    let name = item.as_str().ok_or_else(|| {
-                        format!("`policies` entries must be strings, got {item:?}")
-                    })?;
-                    names.push(ReplacementKind::parse(name)?.name().to_string());
-                }
-                names
-            }
+            Some(names) => names
+                .into_iter()
+                .map(|n| ReplacementKind::parse(n).map(|p| p.name().to_string()))
+                .collect::<Result<_, _>>()?,
         };
-
         let controller = match v.get("controller") {
             None => defaults.controller,
             Some(j) => {
@@ -423,18 +382,6 @@ impl CampaignSpec {
                     .ok_or_else(|| format!("bad `controller`: {j:?}"))?;
                 ControllerMode::parse(s)?.label()
             }
-        };
-
-        let ledger = match v.get("ledger") {
-            None => defaults.ledger,
-            Some(j) => j.as_bool().ok_or_else(|| format!("bad `ledger`: {j:?}"))?,
-        };
-
-        let self_repair = match v.get("self_repair") {
-            None => defaults.self_repair,
-            Some(j) => j
-                .as_bool()
-                .ok_or_else(|| format!("bad `self_repair`: {j:?}"))?,
         };
 
         let spec = CampaignSpec {
@@ -450,8 +397,8 @@ impl CampaignSpec {
             policies,
             controller,
             epoch_fills: num("epoch_fills", defaults.epoch_fills)?.max(1),
-            ledger,
-            self_repair,
+            ledger: flag("ledger", defaults.ledger)?,
+            self_repair: flag("self_repair", defaults.self_repair)?,
         };
         if spec.opt_sets.is_empty()
             || spec.fill_latencies.is_empty()
@@ -619,9 +566,9 @@ mod tests {
 
     #[test]
     fn opt_labels_canonicalize() {
-        let o = parse_opt_spec("scadd,moves").unwrap();
-        assert_eq!(opt_label(&o), "moves,scadd");
-        assert_eq!(opt_label(&OptConfig::none()), "none");
-        assert_eq!(opt_label(&OptConfig::all()), "all");
+        let o = OptConfig::from_name("scadd,moves").unwrap();
+        assert_eq!(o.label(), "moves,scadd");
+        assert_eq!(OptConfig::none().label(), "none");
+        assert_eq!(OptConfig::all().label(), "all");
     }
 }

@@ -20,7 +20,9 @@
 //!   Table 2, reproduced from the JSONL alone;
 //! * [`progress`] — a live `completed/total, runs/sec, ETA` line;
 //! * [`adapt`] — static-vs-adaptive comparisons for the online pass
-//!   controller (`tracefill adapt`), emitting a deterministic JSON report.
+//!   controller (`tracefill adapt`), emitting a deterministic JSON report;
+//! * [`faults`] — seeded fault sweeps (`tracefill inject`/`heal`) and the
+//!   one [`Outcome`] taxonomy that sweeps and reports classify runs by.
 //!
 //! The engine is `std`-only: JSON and hashing come from
 //! [`tracefill_util`], threading from the standard library.
@@ -39,6 +41,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adapt;
+pub mod faults;
 pub mod grid;
 pub mod pool;
 pub mod progress;
@@ -47,6 +50,7 @@ pub mod runner;
 pub mod store;
 
 pub use adapt::{run_adapt, AdaptSpec};
+pub use faults::{FaultSweep, Outcome, Tally};
 pub use grid::{CampaignSpec, OptPoint, RunDescriptor};
 pub use pool::{run_campaign, run_campaign_with, CampaignOptions, CampaignSummary};
 pub use runner::{RepairSummary, RunRecord, RunStatus};

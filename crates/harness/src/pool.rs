@@ -200,7 +200,9 @@ pub fn run_campaign_with(
                     .contains(&key)
                 {
                     // Skip without executing: the cell is poisoned.
-                    let record = skipped_record(&desc, campaign, &key);
+                    let status =
+                        RunStatus::Quarantined(format!("configuration `{key}` quarantined"));
+                    let record = RunRecord::empty(&desc, campaign, status);
                     if tx.send(Msg::Done(Box::new(record))).is_err() {
                         break;
                     }
@@ -357,38 +359,6 @@ fn install_panic_location_hook() {
     });
 }
 
-/// An empty record carcass for runs that produced no measurement.
-fn empty_record(desc: &RunDescriptor, campaign: &str, status: RunStatus) -> RunRecord {
-    RunRecord {
-        run_id: desc.run_id.clone(),
-        campaign: campaign.to_string(),
-        bench: desc.bench.clone(),
-        opt_label: desc.opt_label.clone(),
-        fill_latency: desc.fill_latency,
-        seed: desc.seed,
-        policy: desc.policy.name().to_string(),
-        controller: desc.controller.label(),
-        status,
-        ipc: 0.0,
-        window_cycles: 0,
-        window_retired: 0,
-        stats: tracefill_sim::Stats::default(),
-        cpi: tracefill_sim::CpiStack::default(),
-        metrics: tracefill_util::Registry::new(),
-        repair: desc.self_repair.then(crate::runner::RepairSummary::default),
-        wall_ms: 0,
-    }
-}
-
-/// Builds the record for a run skipped because its key is quarantined.
-fn skipped_record(desc: &RunDescriptor, campaign: &str, key: &str) -> RunRecord {
-    empty_record(
-        desc,
-        campaign,
-        RunStatus::Quarantined(format!("configuration `{key}` quarantined")),
-    )
-}
-
 /// Builds the record for a run that escaped via panic: the payload
 /// message, the panic location (when the hook captured one), and a full
 /// echo of the descriptor's scientific coordinates, so the row alone
@@ -418,7 +388,7 @@ fn panic_record(
         desc.budget,
         desc.max_cycles,
     ));
-    empty_record(desc, campaign, RunStatus::Panic(detail))
+    RunRecord::empty(desc, campaign, RunStatus::Panic(detail))
 }
 
 #[cfg(test)]

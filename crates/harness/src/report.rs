@@ -7,6 +7,7 @@
 //! arrival order, so `--jobs 1` and `--jobs 4` campaigns aggregate
 //! identically.
 
+use crate::faults::{Outcome, Tally};
 use crate::runner::RunRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -140,35 +141,25 @@ pub fn fig8_table(records: &[RunRecord]) -> String {
         );
     }
     s.push('\n');
+    fn row<'a>(c: &'a CellDelta, bench: &str) -> Option<&'a BenchDelta> {
+        c.per_bench.iter().find(|r| r.0 == bench)
+    }
+    let dash = || "-".to_string();
     for bench in &benches {
-        let base = cells
-            .iter()
-            .find_map(|c| c.per_bench.iter().find(|r| &r.0 == bench).map(|r| r.1));
-        match base {
-            Some(b) => {
-                let _ = write!(s, "{bench:8} {b:9.3}");
-            }
-            None => {
-                let _ = write!(s, "{bench:8} {:>9}", "-");
-            }
-        }
+        let base = cells.iter().find_map(|c| row(c, bench));
+        let base = base.map_or_else(dash, |r| format!("{:.3}", r.1));
+        let _ = write!(s, "{bench:8} {base:>9}");
         for c in &cells {
-            match c.per_bench.iter().find(|r| &r.0 == bench) {
-                Some(r) => {
-                    let _ = write!(s, " {:>14}", format!("{:+.1}%", r.3));
-                }
-                None => {
-                    let _ = write!(s, " {:>14}", "-");
-                }
-            }
+            let delta = row(c, bench).map_or_else(dash, |r| format!("{:+.1}%", r.3));
+            let _ = write!(s, " {delta:>14}");
         }
         s.push('\n');
     }
     for (label, f) in [
-        ("mean", CellDelta::arith as fn(&CellDelta) -> f64),
-        ("geomean", CellDelta::geo),
-        ("min", CellDelta::min),
-        ("max", CellDelta::max),
+        ("mean", (|c| c.arith_mean_pct) as fn(&CellDelta) -> f64),
+        ("geomean", |c| c.geo_mean_pct),
+        ("min", |c| c.min_pct),
+        ("max", |c| c.max_pct),
     ] {
         let _ = write!(s, "{label:8} {:>9}", "");
         for c in &cells {
@@ -177,21 +168,6 @@ pub fn fig8_table(records: &[RunRecord]) -> String {
         s.push('\n');
     }
     s
-}
-
-impl CellDelta {
-    fn arith(&self) -> f64 {
-        self.arith_mean_pct
-    }
-    fn geo(&self) -> f64 {
-        self.geo_mean_pct
-    }
-    fn min(&self) -> f64 {
-        self.min_pct
-    }
-    fn max(&self) -> f64 {
-        self.max_pct
-    }
 }
 
 /// The CPI-stack table: one column per `(opt set, fill latency)` cell,
@@ -306,31 +282,19 @@ pub fn table2_table(records: &[RunRecord]) -> String {
     for ((_, bench), &(ms, res, scs, k)) in &rows {
         let k = f64::from(k.max(1));
         let (m, re, sc) = (ms / k, res / k, scs / k);
-        let paper = tracefill_workloads::by_name(bench).map(|b| b.table2);
-        match paper {
-            Some(t) => {
-                let _ = writeln!(
-                    s,
-                    "{bench:8} | {m:6.1} {re:8.1} {sc:6.1} {:6.1} | {:6.1} {:8.1} {:6.1} {:6.1}",
-                    m + re + sc,
-                    t.moves,
-                    t.reassoc,
-                    t.scadd,
-                    t.total
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    s,
-                    "{bench:8} | {m:6.1} {re:8.1} {sc:6.1} {:6.1} | {:>6} {:>8} {:>6} {:>6}",
-                    m + re + sc,
-                    "-",
-                    "-",
-                    "-",
-                    "-"
-                );
-            }
-        }
+        // The paper's columns, or dashes for a benchmark it does not list.
+        let paper = match tracefill_workloads::by_name(bench).map(|b| b.table2) {
+            Some(t) => format!(
+                "{:6.1} {:8.1} {:6.1} {:6.1}",
+                t.moves, t.reassoc, t.scadd, t.total
+            ),
+            None => format!("{:>6} {:>8} {:>6} {:>6}", "-", "-", "-", "-"),
+        };
+        let _ = writeln!(
+            s,
+            "{bench:8} | {m:6.1} {re:8.1} {sc:6.1} {:6.1} | {paper}",
+            m + re + sc
+        );
         total_sum += m + re + sc;
         n += 1.0;
     }
@@ -428,74 +392,42 @@ pub fn ledger_table(records: &[RunRecord]) -> String {
 
 /// The self-repair availability table: per-`(bench, opt, latency)`
 /// roll-up of the rows that carry a repair summary (runs executed with
-/// `--self-repair`). `recovered` counts runs that completed after at least
-/// one contained failure, `fatal` counts armed runs that still died, and
-/// `avail%` is completed-over-total — the headline number the repair
-/// ladder exists to keep at 100. Plain rows (no summary) are skipped; if
-/// none carry one the table says so.
+/// `--self-repair`), counted by [`Outcome`] and folded into the same
+/// columns as `tracefill heal`. `recovered` counts runs that completed
+/// after at least one contained failure, `hung` runs a watchdog stopped,
+/// `fatal` armed runs that still died, and `avail%` is completed over
+/// total — the headline number the repair ladder exists to keep at 100.
+/// Plain rows (no summary) are skipped; if none carry one the table says
+/// so.
 #[must_use]
 pub fn availability_table(records: &[RunRecord]) -> String {
-    #[derive(Default)]
-    struct Cell {
-        runs: u64,
-        completed: u64,
-        recovered: u64,
-        fatal: u64,
-        repairs: u64,
-        quarantined: u64,
-        disabled: u64,
-    }
-    let mut cells: BTreeMap<(usize, String, String, u32), Cell> = BTreeMap::new();
+    let mut cells: BTreeMap<(usize, String, String, u32), Tally> = BTreeMap::new();
     for r in records {
-        let Some(rep) = r.repair else { continue };
+        let (Some(outcome), Some(rep)) = (Outcome::of_record(r), r.repair) else {
+            continue;
+        };
         let (ord, bench) = bench_order(&r.bench);
         let cell = cells
             .entry((ord, bench, r.opt_label.clone(), r.fill_latency))
             .or_default();
-        cell.runs += 1;
+        cell.add(outcome);
         cell.repairs += rep.repairs;
-        cell.quarantined += rep.quarantined;
-        cell.disabled += rep.disabled;
-        if r.status.is_ok() {
-            cell.completed += 1;
-            if rep.repairs > 0 {
-                cell.recovered += 1;
-            }
-        } else {
-            cell.fatal += 1;
-        }
+        cell.quarantines += rep.quarantined;
+        cell.disables += rep.disabled;
     }
     if cells.is_empty() {
         return "no rows carry repair summaries (run the campaign with --self-repair)\n"
             .to_string();
     }
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:8} {:>12} {:>6} {:>10} {:>6} {:>8} {:>11} {:>9} {:>7}",
-        "bench",
-        "cell",
-        "runs",
-        "recovered",
-        "fatal",
-        "repairs",
-        "quarantines",
-        "disables",
-        "avail%"
-    );
+    let header = Tally::default().table_row(true);
+    let mut s = format!("{:8} {:>12} {:>6}{header}\n", "bench", "cell", "runs");
     for ((_, bench, opt, lat), c) in &cells {
+        let cell = format!("{opt}@lat{lat}");
         let _ = writeln!(
             s,
-            "{:8} {:>12} {:>6} {:>10} {:>6} {:>8} {:>11} {:>9} {:>7.1}",
-            bench,
-            format!("{opt}@lat{lat}"),
-            c.runs,
-            c.recovered,
-            c.fatal,
-            c.repairs,
-            c.quarantined,
-            c.disabled,
-            100.0 * c.completed as f64 / c.runs.max(1) as f64,
+            "{bench:8} {cell:>12} {:>6}{}",
+            c.runs(),
+            c.table_row(false)
         );
     }
     s
@@ -509,20 +441,12 @@ pub fn summary(records: &[RunRecord]) -> String {
     let mut retired = 0u64;
     let mut quarantined: BTreeMap<(String, String), usize> = BTreeMap::new();
     for r in records {
-        let tag = match &r.status {
-            crate::runner::RunStatus::Ok => "ok",
-            crate::runner::RunStatus::CycleLimit => "cycle-limit",
-            crate::runner::RunStatus::Timeout => "timeout",
-            crate::runner::RunStatus::Cancelled => "cancelled",
-            crate::runner::RunStatus::SimError(_) => "sim-error",
-            crate::runner::RunStatus::Panic(_) => "panic",
-            crate::runner::RunStatus::Quarantined(_) => {
-                *quarantined
-                    .entry((r.bench.clone(), r.opt_label.clone()))
-                    .or_default() += 1;
-                "quarantined"
-            }
-        };
+        let tag = r.status.tag();
+        if let crate::runner::RunStatus::Quarantined(_) = r.status {
+            *quarantined
+                .entry((r.bench.clone(), r.opt_label.clone()))
+                .or_default() += 1;
+        }
         *by_status.entry(tag).or_default() += 1;
         cycles += r.stats.cycles;
         retired += r.stats.retired;
@@ -741,6 +665,30 @@ mod tests {
         let mut rev = records.clone();
         rev.reverse();
         assert_eq!(t, availability_table(&rev));
+    }
+
+    #[test]
+    fn availability_table_counts_watchdog_rows_as_hung_not_fatal() {
+        let mut cycle_limit = row_with_repair("m88k", 0, 0, 0);
+        cycle_limit.status = RunStatus::CycleLimit;
+        let mut timeout = row_with_repair("m88k", 1, 1, 0);
+        timeout.status = RunStatus::Timeout;
+        let mut fatal = row_with_repair("m88k", 2, 0, 0);
+        fatal.status = RunStatus::SimError("lockstep divergence".to_string());
+        let t = availability_table(&[
+            cycle_limit,
+            timeout,
+            fatal,
+            row_with_repair("m88k", 3, 0, 0),
+        ]);
+        let header: Vec<&str> = t.lines().next().unwrap().split_whitespace().collect();
+        let row: Vec<&str> = t.lines().nth(1).unwrap().split_whitespace().collect();
+        let col = |name: &str| row[header.iter().position(|h| *h == name).unwrap()];
+        assert_eq!(col("runs"), "4", "{t}");
+        assert_eq!(col("clean"), "1", "{t}");
+        assert_eq!(col("hung"), "2", "{t}");
+        assert_eq!(col("fatal"), "1", "{t}");
+        assert_eq!(col("avail%"), "25.0", "{t}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl RunStatus {
         matches!(self, RunStatus::Ok)
     }
 
-    fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::CycleLimit => "cycle-limit",
@@ -161,6 +161,30 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// A record of `desc` that carries no measurement yet.
+    #[must_use]
+    pub fn empty(desc: &RunDescriptor, campaign: &str, status: RunStatus) -> RunRecord {
+        RunRecord {
+            run_id: desc.run_id.clone(),
+            campaign: campaign.to_string(),
+            bench: desc.bench.clone(),
+            opt_label: desc.opt_label.clone(),
+            fill_latency: desc.fill_latency,
+            seed: desc.seed,
+            policy: desc.policy.name().to_string(),
+            controller: desc.controller.label(),
+            status,
+            ipc: 0.0,
+            window_cycles: 0,
+            window_retired: 0,
+            stats: Stats::default(),
+            cpi: CpiStack::default(),
+            metrics: Registry::new(),
+            repair: desc.self_repair.then(RepairSummary::default),
+            wall_ms: 0,
+        }
+    }
+
     /// The full JSONL row.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -289,6 +313,26 @@ pub fn build_program(desc: &RunDescriptor) -> Result<Program, String> {
         .map_err(|e| format!("{}: kernel failed to assemble: {e}", desc.bench))
 }
 
+/// The machine a descriptor runs on: the paper's baseline with the
+/// descriptor's opt set, fill latency, replacement policy, controller,
+/// ledger and self-repair settings.
+#[must_use]
+pub fn sim_config(desc: &RunDescriptor) -> SimConfig {
+    let mut cfg = SimConfig::with_opts(desc.opts);
+    cfg.fill.latency = desc.fill_latency;
+    cfg.tcache.policy = desc.policy;
+    cfg.ledger = desc.ledger;
+    cfg.self_repair.enabled = desc.self_repair;
+    if desc.controller != ControllerMode::Off {
+        cfg.fill.controller = ControllerConfig {
+            mode: desc.controller,
+            epoch_fills: desc.epoch_fills.max(1),
+            seed: desc.seed,
+        };
+    }
+    cfg
+}
+
 /// Outcome of one bounded phase (warmup or measurement).
 enum Phase {
     /// Retired the requested instructions (or the program finished).
@@ -346,25 +390,7 @@ pub fn execute(desc: &RunDescriptor, campaign: &str, cancel: Option<&AtomicBool>
         desc.run_id
     );
 
-    let mut record = RunRecord {
-        run_id: desc.run_id.clone(),
-        campaign: campaign.to_string(),
-        bench: desc.bench.clone(),
-        opt_label: desc.opt_label.clone(),
-        fill_latency: desc.fill_latency,
-        seed: desc.seed,
-        policy: desc.policy.name().to_string(),
-        controller: desc.controller.label(),
-        status: RunStatus::Ok,
-        ipc: 0.0,
-        window_cycles: 0,
-        window_retired: 0,
-        stats: Stats::default(),
-        cpi: CpiStack::default(),
-        metrics: Registry::new(),
-        repair: desc.self_repair.then(RepairSummary::default),
-        wall_ms: 0,
-    };
+    let mut record = RunRecord::empty(desc, campaign, RunStatus::Ok);
 
     let prog = match build_program(desc) {
         Ok(p) => p,
@@ -375,19 +401,7 @@ pub fn execute(desc: &RunDescriptor, campaign: &str, cancel: Option<&AtomicBool>
         }
     };
 
-    let mut cfg = SimConfig::with_opts(desc.opts);
-    cfg.fill.latency = desc.fill_latency;
-    cfg.tcache.policy = desc.policy;
-    cfg.ledger = desc.ledger;
-    cfg.self_repair.enabled = desc.self_repair;
-    if desc.controller != ControllerMode::Off {
-        cfg.fill.controller = ControllerConfig {
-            mode: desc.controller,
-            epoch_fills: desc.epoch_fills.max(1),
-            seed: desc.seed,
-        };
-    }
-    let mut sim = Simulator::new(&prog, cfg);
+    let mut sim = Simulator::new(&prog, sim_config(desc));
 
     // Warmup: trace cache, bias table and predictor state need a long
     // run-in before the steady state is representative.

@@ -91,6 +91,12 @@ impl From<usize> for Json {
         Json::UInt(v as u64)
     }
 }
+/// Collects values into a JSON array.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
 
 impl Json {
     /// An empty object (builder entry point).

@@ -205,6 +205,42 @@ fn zero_sized_axes_are_rejected_with_exit_1() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("--max-cycles"), "{}", stderr(&out));
+
+    // The fault sweeps, `verify` and `suite` reject the same zero-sized
+    // axes instead of printing a vacuous pass or `NaN` rows.
+    for (args, needle) in [
+        (&["heal", "--trials", "0", "--json"][..], "--trials"),
+        (&["inject", "--trials", "0"], "--trials"),
+        (&["heal", "--budget", "0"], "--budget"),
+        (&["inject", "--budget", "0"], "--budget"),
+        (&["inject", "--kinds", ","], "--kinds"),
+        (&["heal", "--kinds", ","], "--kinds"),
+        (&["inject", "--opts", ":"], "no optimization"),
+        (&["heal", "--opts", ":"], "no optimization"),
+        (&["inject", "--bench", ","], "no benchmarks"),
+        (&["heal", "--bench", ","], "no benchmarks"),
+        (&["verify", "--opts", ":"], "no optimization"),
+        (&["verify", "--budget", "0"], "--budget"),
+        (&["suite", "--opts", ":"], "no optimization"),
+        (&["suite", "--budget", "0"], "--budget"),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_flag_in_place_of_the_file_argument_is_a_usage_error() {
+    // `tracefill run --json` used to try to read a file named `--json`.
+    for cmd in ["run", "interp", "characterize", "trace"] {
+        let out = bin().args([cmd, "--json"]).output().unwrap();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(err.contains("usage:"), "{cmd}: {err}");
+        assert!(!err.contains("cannot read"), "{cmd}: {err}");
+    }
 }
 
 #[test]

@@ -1,114 +1,112 @@
 //! Property tests: the fill unit's optimizations preserve dataflow
 //! equivalence on arbitrary retire streams, and segment invariants hold.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{check, range, stream};
 use tracefill_core::builder::{build_segments, FillInput};
 use tracefill_core::config::{ClusterConfig, FillConfig, OptConfig};
 use tracefill_core::opt::{self, verify};
 use tracefill_isa::{ArchReg, Instr, Op};
+use tracefill_util::SplitMix64;
 
-/// Strategy for one instruction of a synthetic retire stream, weighted
-/// toward the patterns the optimizations target.
-fn arb_stream_instr() -> impl Strategy<Value = Instr> {
-    let reg = || (0u8..16).prop_map(ArchReg::gpr);
-    prop_oneof![
+const CASES: u64 = 256;
+
+/// One instruction of a synthetic retire stream, weighted toward the
+/// patterns the optimizations target.
+fn stream_instr(rng: &mut SplitMix64) -> Instr {
+    let reg = |rng: &mut SplitMix64| ArchReg::gpr(rng.range_u32(0, 16) as u8);
+    match rng.range_u32(0, 11) {
         // Plain ALU.
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::alu(Op::Add, d, a, b)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::alu(Op::Sub, d, a, b)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::alu(Op::Xor, d, a, b)),
+        0 => Instr::alu(Op::Add, reg(rng), reg(rng), reg(rng)),
+        1 => Instr::alu(Op::Sub, reg(rng), reg(rng), reg(rng)),
+        2 => Instr::alu(Op::Xor, reg(rng), reg(rng), reg(rng)),
         // Immediate adds (reassociation fodder), including move idioms.
-        (reg(), reg(), -64i32..64).prop_map(|(d, a, i)| Instr::alu_imm(Op::Addi, d, a, i)),
-        (reg(), reg(), prop::sample::select(vec![0i32, 0, 4, 8]))
-            .prop_map(|(d, a, i)| Instr::alu_imm(Op::Addi, d, a, i)),
+        3 => Instr::alu_imm(Op::Addi, reg(rng), reg(rng), range(rng, -64, 64)),
+        4 => {
+            let imm = [0, 0, 4, 8][rng.range_u32(0, 4) as usize];
+            Instr::alu_imm(Op::Addi, reg(rng), reg(rng), imm)
+        }
         // Short shifts (scaled-add fodder).
-        (reg(), reg(), 0i32..5).prop_map(|(d, a, s)| Instr::alu_imm(Op::Sll, d, a, s)),
+        5 => Instr::alu_imm(Op::Sll, reg(rng), reg(rng), range(rng, 0, 5)),
         // Loads and stores.
-        (reg(), reg(), -32i32..32).prop_map(|(d, b, o)| Instr::load(Op::Lw, d, b, 4 * o)),
-        (reg(), reg(), -32i32..32).prop_map(|(d, b, o)| Instr::store(Op::Sw, d, b, 4 * o)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::alu(Op::Lwx, d, a, b)),
+        6 => Instr::load(Op::Lw, reg(rng), reg(rng), 4 * range(rng, -32, 32)),
+        7 => Instr::store(Op::Sw, reg(rng), reg(rng), 4 * range(rng, -32, 32)),
+        8 => Instr::alu(Op::Lwx, reg(rng), reg(rng), reg(rng)),
         // Conditional branches to break blocks.
-        (reg(), reg(), 1i32..8).prop_map(|(a, b, o)| Instr::branch(Op::Beq, a, b, o)),
-        (reg(), 1i32..8).prop_map(|(a, o)| Instr::branch(Op::Bgtz, a, ArchReg::ZERO, o)),
-    ]
-}
-
-fn arb_stream() -> impl Strategy<Value = Vec<FillInput>> {
-    (prop::collection::vec((arb_stream_instr(), any::<bool>()), 1..64)).prop_map(|v| {
-        v.into_iter()
-            .enumerate()
-            .map(|(i, (instr, taken))| FillInput {
-                pc: 0x40_0000 + 4 * i as u32,
-                instr,
-                taken: instr.op.is_cond_branch().then_some(taken),
-                promoted: None,
-                fetch_miss_head: false,
-            })
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Full optimization preserves equivalence and structural invariants.
-    #[test]
-    fn all_opts_preserve_equivalence(stream in arb_stream(), seed in any::<u64>()) {
-        let cfg = FillConfig::default();
-        for mut seg in build_segments(&stream, &cfg) {
-            opt::apply_all(&mut seg, &OptConfig::all(), &ClusterConfig::default());
-            prop_assert_eq!(seg.check_invariants(), Ok(()));
-            if let Err(e) = verify::equivalent(&seg, seed) {
-                prop_assert!(false, "equivalence broken: {}", e);
-            }
-        }
+        9 => Instr::branch(Op::Beq, reg(rng), reg(rng), range(rng, 1, 8)),
+        _ => Instr::branch(Op::Bgtz, reg(rng), ArchReg::ZERO, range(rng, 1, 8)),
     }
+}
 
-    /// Same with in-block reassociation allowed (the paper's unrestricted
-    /// variant) and a wider scaled-add limit.
-    #[test]
-    fn aggressive_opts_preserve_equivalence(stream in arb_stream(), seed in any::<u64>()) {
-        let cfg = FillConfig::default();
-        let opts = OptConfig {
-            reassoc_cross_block_only: false,
-            scadd_max_shift: 4,
-            cse: true,
-            ..OptConfig::all()
-        };
-        for mut seg in build_segments(&stream, &cfg) {
+fn arb_stream(rng: &mut SplitMix64) -> Vec<FillInput> {
+    stream(rng, 64, stream_instr)
+}
+
+/// Optimizing every segment of a random stream with `opts` keeps its
+/// structural invariants and its dataflow equivalence.
+fn opts_preserve_equivalence(name: &str, opts: OptConfig) {
+    check(name, CASES, |rng| {
+        let stream = arb_stream(rng);
+        let seed = rng.next_u64();
+        for mut seg in build_segments(&stream, &FillConfig::default()) {
             opt::apply_all(&mut seg, &opts, &ClusterConfig::default());
-            prop_assert_eq!(seg.check_invariants(), Ok(()));
+            assert_eq!(seg.check_invariants(), Ok(()));
             if let Err(e) = verify::equivalent(&seg, seed) {
-                prop_assert!(false, "equivalence broken: {}", e);
+                panic!("equivalence broken: {e}");
             }
         }
-    }
+    });
+}
 
-    /// Segments straight out of the builder always satisfy invariants and
-    /// trivially verify.
-    #[test]
-    fn builder_output_is_well_formed(stream in arb_stream()) {
+/// Full optimization preserves equivalence and structural invariants.
+#[test]
+fn all_opts_preserve_equivalence() {
+    opts_preserve_equivalence("all_opts", OptConfig::all());
+}
+
+/// Same with in-block reassociation allowed (the paper's unrestricted
+/// variant) and a wider scaled-add limit.
+#[test]
+fn aggressive_opts_preserve_equivalence() {
+    let opts = OptConfig {
+        reassoc_cross_block_only: false,
+        scadd_max_shift: 4,
+        cse: true,
+        ..OptConfig::all()
+    };
+    opts_preserve_equivalence("aggressive_opts", opts);
+}
+
+/// Segments straight out of the builder always satisfy invariants and
+/// trivially verify.
+#[test]
+fn builder_output_is_well_formed() {
+    check("builder_output", CASES, |rng| {
         let cfg = FillConfig::default();
-        for seg in build_segments(&stream, &cfg) {
-            prop_assert_eq!(seg.check_invariants(), Ok(()));
-            prop_assert!(seg.slots.len() <= cfg.max_slots);
-            prop_assert!(seg.branches.len() <= cfg.max_cond_branches);
-            prop_assert_eq!(verify::equivalent(&seg, 0), Ok(()));
+        for seg in build_segments(&arb_stream(rng), &cfg) {
+            assert_eq!(seg.check_invariants(), Ok(()));
+            assert!(seg.slots.len() <= cfg.max_slots);
+            assert!(seg.branches.len() <= cfg.max_cond_branches);
+            assert_eq!(verify::equivalent(&seg, 0), Ok(()));
         }
-    }
+    });
+}
 
-    /// Placement alone never changes the dependency structure, only the
-    /// issue permutation.
-    #[test]
-    fn placement_only_permutes(stream in arb_stream()) {
-        let cfg = FillConfig::default();
-        for seg in build_segments(&stream, &cfg) {
+/// Placement alone never changes the dependency structure, only the
+/// issue permutation.
+#[test]
+fn placement_only_permutes() {
+    check("placement_only", CASES, |rng| {
+        for seg in build_segments(&arb_stream(rng), &FillConfig::default()) {
             let mut placed = seg.clone();
-            opt::apply_all(&mut placed, &OptConfig::only_placement(), &ClusterConfig::default());
-            prop_assert_eq!(&placed.slots, &seg.slots);
+            let only = OptConfig::only_placement();
+            opt::apply_all(&mut placed, &only, &ClusterConfig::default());
+            assert_eq!(&placed.slots, &seg.slots);
             let mut sorted = placed.issue_pos.clone();
             sorted.sort_unstable();
             let expect: Vec<u8> = (0..seg.slots.len() as u8).collect();
-            prop_assert_eq!(sorted, expect);
+            assert_eq!(sorted, expect);
         }
-    }
+    });
 }

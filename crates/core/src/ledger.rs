@@ -10,12 +10,12 @@
 //! to the fetch/retire path (uops fetched, retired, and squashed while
 //! speculative), and folds the journal into a per-pass ROI report.
 //!
-//! Collection is event-driven and purely observational: the simulator
-//! calls [`Ledger::on_insert`] / [`Ledger::on_fetch`] /
-//! [`Ledger::on_retire`] / [`Ledger::on_squash`] only when the ledger is
-//! enabled, and none of those calls feed back into timing — a ledger-on
-//! run retires the same instructions in the same cycles as a ledger-off
-//! run.
+//! Collection is event-driven and purely observational: the simulator's
+//! observation stream calls [`Ledger::on_insert`] / [`Ledger::on_fetch`] /
+//! [`Ledger::on_retire`] / [`Ledger::on_squash`] /
+//! [`Ledger::on_invalidate`] only when the ledger is enabled, and none of
+//! those calls feed back into timing — a ledger-on run retires the same
+//! instructions in the same cycles as a ledger-off run.
 //!
 //! # The ROI proxy
 //!
@@ -169,8 +169,7 @@ fn pass_count(c: &OptCounts, pass: &str) -> u64 {
 /// The segment lifetime ledger.
 ///
 /// Construct with [`Ledger::new`]; a disabled ledger ignores every event
-/// and reports nothing, so call sites can stay unconditional behind an
-/// [`enabled`](Ledger::enabled) check.
+/// and reports nothing.
 #[derive(Debug)]
 pub struct Ledger {
     enabled: bool,

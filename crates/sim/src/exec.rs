@@ -3,7 +3,9 @@
 //! branches.
 
 use crate::machine::Simulator;
+use crate::observe::Event;
 use crate::physreg::NEVER;
+use crate::tracelog::Event as Pipe;
 use crate::uop::{UopId, UopState};
 use tracefill_isa::op::OpKind;
 use tracefill_isa::semantics::{alu_result, branch_taken, effective_addr, extend_load};
@@ -39,14 +41,9 @@ impl Simulator {
             }
             u.state = UopState::Done;
             let is_branch = u.branch.is_some() && (u.op.is_cond_branch() || u.op.is_indirect());
-            let trace_id = u.id;
             let inactive = u.inactive;
-            if self.trace.enabled() {
-                self.trace.push(
-                    self.cycle,
-                    crate::tracelog::Event::Complete { uop: trace_id },
-                );
-            }
+            self.observers
+                .emit(self.cycle, Event::Pipeline(Pipe::Complete { uop: id }));
             if is_branch {
                 if let Some(b) = self.uops.get_mut(&id).and_then(|u| u.branch.as_mut()) {
                     b.resolved = true;
@@ -345,9 +342,7 @@ impl Simulator {
             self.phys.write(p, v, done, cluster);
         }
         self.completions.entry(done).or_default().push(id);
-        if self.trace.enabled() {
-            self.trace
-                .push(now, crate::tracelog::Event::Execute { uop: id, done });
-        }
+        self.observers
+            .emit(now, Event::Pipeline(Pipe::Execute { uop: id, done }));
     }
 }

@@ -1,6 +1,8 @@
 //! Fetch stage: trace-cache path and supporting instruction-cache path.
 
 use crate::machine::Simulator;
+use crate::observe::Event;
+use crate::tracelog::Event as Pipe;
 use crate::uop::{BranchFetchMeta, FetchBundle, FetchSlot, ShadowResume};
 use tracefill_core::segment::Segment;
 use tracefill_core::tcache::TcHit;
@@ -46,6 +48,7 @@ impl Simulator {
                 Some(inj) => inj.on_lookup(h, self.cycle),
                 None => h,
             });
+        let seg = hit.as_ref().map(|h| h.seg.provenance.seg_id);
         let bundle = match hit {
             Some(hit) => self.fetch_from_line(hit, &preds),
             None => {
@@ -61,25 +64,17 @@ impl Simulator {
             }
         };
         if let Some(bundle) = bundle {
-            let tc = bundle.slots.first().map(|s| s.from_tc).unwrap_or(false);
             // CPI attribution: remember the supply path so empty-window
             // cycles split into trace-cache misses vs. redirect refills.
-            self.last_fetch_tc = tc;
-            self.metrics.observe(
-                "sim.fetch_bundle",
-                crate::machine::FETCH_BUNDLE_BOUNDS,
-                bundle.slots.len() as u64,
+            self.last_fetch_tc = seg.is_some();
+            self.observers.emit(
+                self.cycle,
+                Event::Pipeline(Pipe::Fetch {
+                    pc,
+                    count: bundle.slots.len() as u8,
+                    seg,
+                }),
             );
-            if self.trace.enabled() {
-                self.trace.push(
-                    self.cycle,
-                    crate::tracelog::Event::Fetch {
-                        pc,
-                        count: bundle.slots.len() as u8,
-                        tc,
-                    },
-                );
-            }
             self.fetch_buffer = Some(bundle);
         }
     }
@@ -230,11 +225,6 @@ impl Simulator {
                     self.fetch_pc = target;
                 }
             }
-        }
-
-        if self.ledger.enabled() {
-            self.ledger
-                .on_fetch(seg.provenance.seg_id, slots.len() as u64);
         }
 
         Some(FetchBundle {

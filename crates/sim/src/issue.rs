@@ -7,7 +7,9 @@
 //! dispatch inactively (paper §3 / [4]).
 
 use crate::machine::{Checkpoint, PendingIssue, ShadowBuild, Simulator};
+use crate::observe::Event;
 use crate::physreg::{PhysFile, PhysReg};
+use crate::tracelog::Event as Pipe;
 use crate::uop::{BranchCtx, FetchSlot, MemState, Uop, UopState};
 use tracefill_core::segment::SrcRef;
 use tracefill_isa::op::OpKind;
@@ -291,17 +293,15 @@ impl Simulator {
         let pend = self.pending.as_mut().unwrap();
         pend.line_phys[pend.next] = dest.map(|(_, p)| p);
 
-        if self.trace.enabled() {
-            self.trace.push(
-                self.cycle,
-                crate::tracelog::Event::Issue {
-                    uop: id,
-                    pc: slot.pc,
-                    fu: slot.fu,
-                    inactive: in_shadow,
-                },
-            );
-        }
+        self.observers.emit(
+            self.cycle,
+            Event::Pipeline(Pipe::Issue {
+                uop: id,
+                pc: slot.pc,
+                fu: slot.fu,
+                inactive: in_shadow,
+            }),
+        );
     }
 
     /// Resolves one dataflow source.

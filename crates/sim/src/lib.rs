@@ -69,6 +69,7 @@ mod frontend;
 pub mod inject;
 mod issue;
 pub mod machine;
+mod observe;
 pub mod oracle;
 pub mod physreg;
 mod recover;

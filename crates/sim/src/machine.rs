@@ -19,6 +19,7 @@
 use crate::config::SimConfig;
 use crate::cpi::{CpiFlags, CpiStack, StallCause};
 use crate::inject::FaultInjector;
+use crate::observe::{Event, Observers};
 use crate::oracle::{DivergenceReport, RetireEcho};
 use crate::physreg::{PhysFile, PhysReg};
 use crate::stats::{Report, Stats};
@@ -235,7 +236,6 @@ pub struct Simulator {
     pub(crate) halted: Option<Halt>,
     pub(crate) stats: Stats,
     pub(crate) last_retire_cycle: u64,
-    pub(crate) trace: TraceLog,
 
     // Robustness.
     /// Ring buffer of recent retirements for divergence reports (bounded
@@ -253,17 +253,10 @@ pub struct Simulator {
     /// Whether the most recent fetch bundle came from the trace cache
     /// (false at cold start, when supply is icache by definition).
     pub(crate) last_fetch_tc: bool,
-    pub(crate) metrics: tracefill_util::Registry,
-    /// Segment lifetime ledger (no-op unless `cfg.ledger`).
-    pub(crate) ledger: tracefill_core::ledger::Ledger,
+    /// Trace log, segment ledger and distributions, fed through
+    /// [`Observers::emit`].
+    pub(crate) observers: Observers,
 }
-
-/// Bucket bounds for the per-cycle window-occupancy histogram.
-pub(crate) const WINDOW_OCC_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-
-/// Bucket bounds for the fetch-bundle-size histogram (instructions per
-/// delivered bundle, up to the 16-wide fetch path).
-pub(crate) const FETCH_BUNDLE_BOUNDS: &[u64] = &[1, 2, 4, 6, 8, 10, 12, 14, 16];
 
 impl Simulator {
     /// Creates a simulator with the program loaded and the machine reset.
@@ -320,15 +313,13 @@ impl Simulator {
             halted: None,
             stats: Stats::default(),
             last_retire_cycle: 0,
-            trace: TraceLog::new(cfg.trace_depth),
             retire_ring: VecDeque::new(),
             injector: cfg.fault_plan.clone().map(FaultInjector::new),
             repairs: Vec::new(),
             cpi: CpiStack::new(cfg.fetch_width),
             cpi_flags: CpiFlags::default(),
             last_fetch_tc: false,
-            metrics: tracefill_util::Registry::new(),
-            ledger: tracefill_core::ledger::Ledger::new(cfg.ledger),
+            observers: Observers::new(&cfg),
             cfg,
         }
     }
@@ -395,7 +386,7 @@ impl Simulator {
     /// [`SimConfig::trace_depth`](crate::config::SimConfig::trace_depth)
     /// was set).
     pub fn trace(&self) -> &TraceLog {
-        &self.trace
+        &self.observers.trace
     }
 
     /// The CPI stack accumulated so far (commit-slot stall attribution).
@@ -406,20 +397,22 @@ impl Simulator {
     /// The segment lifetime ledger (empty unless
     /// [`SimConfig::ledger`](crate::config::SimConfig::ledger) was set).
     pub fn ledger(&self) -> &tracefill_core::ledger::Ledger {
-        &self.ledger
+        &self.observers.ledger
     }
 
     /// Assembles a full report (pipeline + structure statistics, the CPI
     /// stack and the metrics registry).
     ///
-    /// The registry combines the simulator's own distributions (window
-    /// occupancy, fetch bundle size), the fill unit's per-optimization
+    /// The registry is built here, by folding in the observers' exports
+    /// (window occupancy and fetch bundle distributions, the ledger's
+    /// `ledger.*` summary), the fill unit's per-optimization
     /// accept/reject telemetry, and — mirrored mechanically from
     /// [`Stats`] so the two can never drift — the retire-time
     /// transformation counters the Table 2 path consumes
     /// (`retire.moves` / `retire.reassoc` / `retire.scadd`).
     pub fn report(&self) -> Report {
-        let mut metrics = self.metrics.clone();
+        let mut metrics = tracefill_util::Registry::new();
+        self.observers.export(&mut metrics, self.cycle);
         metrics.merge(self.fill.telemetry());
         if let Some(inj) = &self.injector {
             metrics.merge(inj.metrics());
@@ -446,9 +439,6 @@ impl Simulator {
         metrics.add("policy.hits", pc.hits);
         metrics.add("policy.evictions", pc.evictions);
         metrics.add("policy.evict_age_ticks", pc.evict_age_ticks);
-        if self.ledger.enabled() {
-            self.ledger.export_metrics(&mut metrics, self.cycle);
-        }
         // Self-repair availability counters, only once something was
         // actually contained: a clean self-repair-on run stays
         // metric-identical (and therefore byte-identical in every export)
@@ -629,7 +619,7 @@ impl Simulator {
     /// End-of-cycle CPI attribution: `retired` slots go to `base`, the
     /// rest of the cycle's commit slots are charged to one stall cause
     /// picked by the priority cascade documented in [`crate::cpi`]. Also
-    /// records the per-cycle window-occupancy distribution.
+    /// emits the end of the cycle (window occupancy) to the observers.
     fn account_cpi(&mut self) {
         let flags = std::mem::take(&mut self.cpi_flags);
         let cause = if flags.recovered {
@@ -653,10 +643,11 @@ impl Simulator {
         };
         self.cpi
             .account_cycle(flags.retired.min(self.cpi.width), cause);
-        self.metrics.observe(
-            "sim.window_occupancy",
-            WINDOW_OCC_BOUNDS,
-            self.window.len() as u64,
+        self.observers.emit(
+            self.cycle,
+            Event::Cycle {
+                window: self.window.len(),
+            },
         );
     }
 

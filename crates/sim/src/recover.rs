@@ -1,8 +1,10 @@
 //! Checkpoint recovery, squash, shadow discard and shadow activation.
 
 use crate::machine::Simulator;
+use crate::observe::Event;
 use crate::physreg::PhysFile;
-use crate::uop::{ShadowResume, UopId, UopState};
+use crate::tracelog::Event as Pipe;
+use crate::uop::{ShadowResume, Uop, UopId};
 use std::collections::HashSet;
 use tracefill_isa::reg::NUM_ARCH_REGS;
 use tracefill_isa::{ArchReg, Op};
@@ -55,15 +57,13 @@ impl Simulator {
             _ => {}
         }
 
-        if self.trace.enabled() {
-            self.trace.push(
-                self.cycle,
-                crate::tracelog::Event::Recover {
-                    anchor: branch_id,
-                    redirect,
-                },
-            );
-        }
+        self.observers.emit(
+            self.cycle,
+            Event::Pipeline(Pipe::Recover {
+                anchor: branch_id,
+                redirect,
+            }),
+        );
         self.redirect_fetch(redirect);
     }
 
@@ -197,15 +197,13 @@ impl Simulator {
             self.stats.activated_uops += 1;
         }
 
-        if self.trace.enabled() {
-            self.trace.push(
-                self.cycle,
-                crate::tracelog::Event::Activate {
-                    anchor: branch_id,
-                    count: shadow.uops.len() as u32,
-                },
-            );
-        }
+        self.observers.emit(
+            self.cycle,
+            Event::Pipeline(Pipe::Activate {
+                anchor: branch_id,
+                count: shadow.uops.len() as u32,
+            }),
+        );
         // Decide where fetch resumes.
         let resume_pc = match shadow.resume {
             ShadowResume::Pc(pc) => pc,
@@ -279,23 +277,11 @@ impl Simulator {
         }
         self.fetch_buffer = None;
 
-        if self.ledger.enabled() {
-            // Attribute each squashed trace-cache uop back to the segment
-            // that supplied it, before the uop table forgets it.
-            for id in &dead {
-                if let Some(sid) = self
-                    .uops
-                    .get(id)
-                    .filter(|u| u.from_tc)
-                    .and_then(|u| u.seg.as_ref())
-                    .map(|s| s.provenance.seg_id)
-                {
-                    self.ledger.on_squash(sid);
-                }
-            }
-        }
         for &id in &dead {
-            self.discard_uop_inner(id);
+            if let Some(u) = self.discard_uop_inner(id) {
+                let seg = u.tc_seg();
+                self.observers.emit(self.cycle, Event::Squash { seg });
+            }
         }
         self.lsq.retain(|id| !dead.contains(id));
         for rs in &mut self.rs {
@@ -317,17 +303,9 @@ impl Simulator {
     ///
     /// [`squash_younger`]: Self::squash_younger
     pub(crate) fn repair_squash(&mut self) {
-        if self.ledger.enabled() {
-            for u in self.uops.values() {
-                if let Some(sid) = u
-                    .seg
-                    .as_ref()
-                    .filter(|_| u.from_tc)
-                    .map(|s| s.provenance.seg_id)
-                {
-                    self.ledger.on_squash(sid);
-                }
-            }
+        for u in self.uops.values() {
+            let seg = u.tc_seg();
+            self.observers.emit(self.cycle, Event::Squash { seg });
         }
         self.stats.squashed_uops += self.uops.len() as u64;
         self.uops.clear();
@@ -358,19 +336,19 @@ impl Simulator {
         self.rat = rat;
     }
 
-    /// Removes one uop and releases its destination mapping. Used for
-    /// both squash and shadow discard; the caller fixes up the shared
-    /// structures (`lsq`, `rs`, checkpoint list).
-    fn discard_uop_inner(&mut self, id: UopId) {
-        if let Some(u) = self.uops.remove(&id) {
-            for p in u.srcs.into_iter().flatten() {
-                self.phys.release(p);
-            }
-            if let Some((_, p)) = u.dest {
-                self.phys.release(p);
-            }
-            let _ = u.state == UopState::Done; // results are simply dropped
+    /// Removes one uop, releases its destination mapping and drops its
+    /// result, returning the removed uop. Used for both squash and shadow
+    /// discard; the caller fixes up the shared structures (`lsq`, `rs`,
+    /// checkpoint list).
+    fn discard_uop_inner(&mut self, id: UopId) -> Option<Uop> {
+        let u = self.uops.remove(&id)?;
+        for p in u.srcs.into_iter().flatten() {
+            self.phys.release(p);
         }
+        if let Some((_, p)) = u.dest {
+            self.phys.release(p);
+        }
+        Some(u)
     }
 
     /// Removes a discarded-shadow uop (not in window/lsq; may be in RS).

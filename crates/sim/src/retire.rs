@@ -2,8 +2,10 @@
 //! and bias training, and feeding the fill unit.
 
 use crate::machine::{SimError, Simulator};
+use crate::observe::Event;
 use crate::oracle::{DivergenceReport, RetireEcho, SegSource};
 use crate::repair::RepairEvent;
+use crate::tracelog::Event as Pipe;
 use tracefill_core::builder::FillInput;
 use tracefill_isa::interp::Retired;
 use tracefill_isa::syscall;
@@ -119,15 +121,17 @@ impl Simulator {
                 && self.fill.config().strict_verify
                 && tracefill_core::opt::strict_check(&seg).is_err()
             {
-                self.metrics.inc("fault.detected.fill_verify");
+                self.observers.emit(self.cycle, Event::FaultDetected);
                 continue;
             }
-            if self.ledger.enabled() {
-                let outcome = self.tcache.insert(std::sync::Arc::clone(&seg));
-                self.ledger.on_insert(&seg, &outcome, self.cycle);
-            } else {
-                self.tcache.insert(seg);
-            }
+            let outcome = self.tcache.insert(std::sync::Arc::clone(&seg));
+            self.observers.emit(
+                self.cycle,
+                Event::Insert {
+                    seg: &seg,
+                    outcome: &outcome,
+                },
+            );
         }
         // The fill unit's own always-on verifier rejecting a segment is a
         // divergence in its own right: an optimization pass broke the
@@ -221,14 +225,7 @@ impl Simulator {
         self.stats.retired_from_tc += u.from_tc as u64;
         self.stats.fu_executed += u.fu_executed as u64;
         self.stats.bypass_delayed += u.bypass_delayed as u64;
-        let ledger_seg = if self.ledger.enabled() && u.from_tc {
-            u.seg.as_ref().map(|s| s.provenance.seg_id)
-        } else {
-            None
-        };
-        if let Some(sid) = ledger_seg {
-            self.ledger.on_retire(sid);
-        }
+        let seg = u.tc_seg();
 
         // Commit stores to memory.
         if let Some((addr, size, value)) = store {
@@ -289,10 +286,10 @@ impl Simulator {
         if self.lsq.front() == Some(&id) {
             self.lsq.pop_front();
         }
-        if self.trace.enabled() {
-            self.trace
-                .push(self.cycle, crate::tracelog::Event::Retire { uop: id, pc });
-        }
+        self.observers.emit(
+            self.cycle,
+            Event::Pipeline(Pipe::Retire { uop: id, pc, seg }),
+        );
         self.window.pop_front();
         self.uops.remove(&id);
         self.last_retire_cycle = self.cycle;
@@ -316,6 +313,7 @@ impl Simulator {
         let dest = u.dest;
         let prev_phys = u.prev_phys;
         let from_tc = u.from_tc;
+        let seg = u.tc_seg();
         let instr = u.instr;
 
         if op == Op::Syscall {
@@ -382,11 +380,6 @@ impl Simulator {
         self.stats.retired += 1;
         self.cpi_flags.retired += 1; // this cycle's CPI-stack `base` slots
         self.stats.retired_from_tc += from_tc as u64;
-        if self.ledger.enabled() && from_tc {
-            if let Some(sid) = self.uops[&id].seg.as_ref().map(|s| s.provenance.seg_id) {
-                self.ledger.on_retire(sid);
-            }
-        }
         self.fill.retire(
             FillInput {
                 pc,
@@ -405,10 +398,10 @@ impl Simulator {
         if let Some(prev) = prev_phys {
             self.phys.release(prev);
         }
-        if self.trace.enabled() {
-            self.trace
-                .push(self.cycle, crate::tracelog::Event::Retire { uop: id, pc });
-        }
+        self.observers.emit(
+            self.cycle,
+            Event::Pipeline(Pipe::Retire { uop: id, pc, seg }),
+        );
         self.window.pop_front();
         self.uops.remove(&id);
         self.serialize = None;
@@ -516,11 +509,12 @@ impl Simulator {
         };
         let invalidated = match seg.as_deref() {
             Some(s) => {
-                let removed = self.tcache.invalidate(s.start_pc, s.provenance.seg_id);
-                if removed.is_some() {
-                    self.ledger.on_invalidate(s.provenance.seg_id, self.cycle);
+                let seg = s.provenance.seg_id;
+                let removed = self.tcache.invalidate(s.start_pc, seg).is_some();
+                if removed {
+                    self.observers.emit(self.cycle, Event::Invalidate { seg });
                 }
-                removed.is_some()
+                removed
             }
             None => false,
         };
@@ -548,15 +542,13 @@ impl Simulator {
         self.fetch_pc = r.next_pc;
         self.fetch_stall_until = 0;
         self.last_fetch_tc = false;
-        if self.trace.enabled() {
-            self.trace.push(
-                self.cycle,
-                crate::tracelog::Event::Repair {
-                    pc: report.pc,
-                    redirect: r.next_pc,
-                },
-            );
-        }
+        self.observers.emit(
+            self.cycle,
+            Event::Pipeline(Pipe::Repair {
+                pc: report.pc,
+                redirect: r.next_pc,
+            }),
+        );
         self.repairs.push(RepairEvent {
             cycle: report.cycle,
             seq: report.seq,

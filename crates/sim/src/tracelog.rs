@@ -1,13 +1,13 @@
 //! Pipeline event tracing.
 //!
-//! When enabled ([`SimConfig::trace_depth`] > 0), the simulator records
-//! one event per pipeline transition into a bounded ring buffer. The log
-//! is the tool for answering "why did this instruction wait six cycles?"
+//! When enabled ([`SimConfig::trace_depth`] > 0), the trace log keeps the
+//! machine's pipeline events in a bounded ring buffer. The log is the
+//! tool for answering "why did this instruction wait six cycles?"
 //! without printf-debugging the pipeline — pair it with
 //! [`Simulator::dump_window`] for a full picture.
 //!
-//! Tracing is off by default and costs one predictable branch per event
-//! site when disabled.
+//! The log is one subscriber of the machine's observation stream; it is
+//! off by default and then costs one predictable branch per event.
 //!
 //! [`SimConfig::trace_depth`]: crate::config::SimConfig::trace_depth
 //! [`Simulator::dump_window`]: crate::Simulator::dump_window
@@ -19,15 +19,15 @@ use tracefill_util::Json;
 /// What happened to a uop (or to the machine) at one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A bundle of `count` instructions was fetched at `pc` (from the
-    /// trace cache if `tc`).
+    /// A bundle of `count` instructions was fetched at `pc`.
     Fetch {
         /// Fetch address.
         pc: u32,
         /// Instructions delivered.
         count: u8,
-        /// Source was the trace cache.
-        tc: bool,
+        /// The trace-cache segment that supplied the bundle (`None` for
+        /// an instruction-cache fetch).
+        seg: Option<u64>,
     },
     /// A uop entered the window (renamed/dispatched).
     Issue {
@@ -58,6 +58,9 @@ pub enum Event {
         uop: u64,
         /// Its PC.
         pc: u32,
+        /// The trace-cache segment that supplied the uop (`None` on the
+        /// instruction-cache path).
+        seg: Option<u64>,
     },
     /// Misprediction recovery squashed everything younger than `anchor`.
     Recover {
@@ -99,14 +102,15 @@ impl Event {
     }
 
     /// The event's payload fields as a flat JSON object (no kind/cycle —
-    /// the exporters add those).
+    /// the exporters add those). Segment ids stay out of the exports:
+    /// a fetch shows only whether the trace cache supplied it.
     #[must_use]
     pub fn fields_json(&self) -> Json {
         match *self {
-            Event::Fetch { pc, count, tc } => Json::object()
+            Event::Fetch { pc, count, seg } => Json::object()
                 .with("pc", pc)
                 .with("count", count as u32)
-                .with("tc", tc),
+                .with("tc", seg.is_some()),
             Event::Issue {
                 uop,
                 pc,
@@ -119,7 +123,7 @@ impl Event {
                 .with("inactive", inactive),
             Event::Execute { uop, done } => Json::object().with("uop", uop).with("done", done),
             Event::Complete { uop } => Json::object().with("uop", uop),
-            Event::Retire { uop, pc } => Json::object().with("uop", uop).with("pc", pc),
+            Event::Retire { uop, pc, .. } => Json::object().with("uop", uop).with("pc", pc),
             Event::Recover { anchor, redirect } => Json::object()
                 .with("anchor", anchor)
                 .with("redirect", redirect),
@@ -136,10 +140,10 @@ impl Event {
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Event::Fetch { pc, count, tc } => write!(
+            Event::Fetch { pc, count, seg } => write!(
                 f,
                 "fetch   {pc:#010x} x{count} [{}]",
-                if tc { "tcache" } else { "icache" }
+                if seg.is_some() { "tcache" } else { "icache" }
             ),
             Event::Issue {
                 uop,
@@ -153,7 +157,7 @@ impl fmt::Display for Event {
             ),
             Event::Execute { uop, done } => write!(f, "execute u{uop} done@{done}"),
             Event::Complete { uop } => write!(f, "complete u{uop}"),
-            Event::Retire { uop, pc } => write!(f, "retire  u{uop} pc={pc:#010x}"),
+            Event::Retire { uop, pc, .. } => write!(f, "retire  u{uop} pc={pc:#010x}"),
             Event::Recover { anchor, redirect } => {
                 write!(f, "recover @u{anchor} -> {redirect:#010x}")
             }
@@ -181,12 +185,6 @@ impl TraceLog {
             depth,
             events: VecDeque::with_capacity(depth.min(4096)),
         }
-    }
-
-    /// Whether recording is enabled.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.depth > 0
     }
 
     /// Records one event at `cycle`.
@@ -257,8 +255,14 @@ impl TraceLog {
     /// 16 lanes (`tid` = `uop % 16 + 1`, mirroring the machine's issue
     /// width); machine-level events (fetch/recover/activate) sit on
     /// `tid` 0.
+    ///
+    /// Each segment `ledger` recorded (none when it is off) adds its
+    /// whole cache life as one complete-duration span (insert cycle →
+    /// eviction cycle, or `now` for still-resident lines) on its own
+    /// track (`pid` 1, `tid` = segment id), annotated with its hit count,
+    /// retired-uop count, pass attribution, and fate.
     #[must_use]
-    pub fn to_chrome_trace(&self) -> Json {
+    pub fn to_chrome_trace(&self, ledger: &tracefill_core::ledger::Ledger, now: u64) -> Json {
         let mut events = Vec::new();
         for (cycle, e) in self.events() {
             let tid: u64 = match e {
@@ -296,30 +300,8 @@ impl TraceLog {
             obj = obj.with("args", e.fields_json());
             events.push(obj);
         }
-        Json::object()
-            .with("traceEvents", Json::Arr(events))
-            .with("displayTimeUnit", "ms")
-    }
-
-    /// [`to_chrome_trace`](Self::to_chrome_trace) enriched with the
-    /// segment lifetime ledger: each ledgered segment's whole cache life
-    /// renders as one complete-duration span (insert cycle → eviction
-    /// cycle, or `now` for still-resident lines) on its own track
-    /// (`pid` 1, `tid` = segment id), annotated with its hit count,
-    /// retired-uop count, pass attribution, and fate.
-    #[must_use]
-    pub fn to_chrome_trace_with_ledger(
-        &self,
-        ledger: &tracefill_core::ledger::Ledger,
-        now: u64,
-    ) -> Json {
-        let base = self.to_chrome_trace();
-        let mut events: Vec<Json> = base
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
         for span in ledger.spans(now) {
+            let passes = span.passes.into_iter().map(Json::from).collect();
             events.push(
                 Json::object()
                     .with(
@@ -340,10 +322,7 @@ impl TraceLog {
                         Json::object()
                             .with("hits", span.hits)
                             .with("uops_retired", span.uops_retired)
-                            .with(
-                                "passes",
-                                Json::Arr(span.passes.into_iter().map(Json::from).collect()),
-                            )
+                            .with("passes", Json::Arr(passes))
                             .with("fate", span.fate),
                     ),
             );
@@ -361,7 +340,6 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::new(0);
-        assert!(!log.enabled());
         log.push(1, Event::Complete { uop: 1 });
         assert!(log.is_empty());
     }
@@ -385,7 +363,7 @@ mod tests {
             Event::Fetch {
                 pc: 0x400000,
                 count: 16,
-                tc: true,
+                seg: Some(1),
             },
         );
         log.push(
@@ -417,7 +395,7 @@ mod tests {
             Event::Fetch {
                 pc: 0x40_0000,
                 count: 16,
-                tc: true,
+                seg: Some(1),
             },
         );
         log.push(
@@ -436,6 +414,7 @@ mod tests {
             Event::Retire {
                 uop: 3,
                 pc: 0x40_0000,
+                seg: None,
             },
         );
         log.push(
@@ -469,7 +448,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_durations_and_instants() {
         let log = sample_log();
-        let v = log.to_chrome_trace();
+        let v = log.to_chrome_trace(&tracefill_core::ledger::Ledger::new(false), 11);
         let events = v
             .get("traceEvents")
             .and_then(Json::as_arr)

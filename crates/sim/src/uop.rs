@@ -134,6 +134,15 @@ impl Uop {
     pub fn needs_checkpoint(&self) -> bool {
         self.op.is_cond_branch() || self.op.is_indirect()
     }
+
+    /// The id of the trace-cache segment that supplied this uop (`None`
+    /// on the instruction-cache path).
+    pub fn tc_seg(&self) -> Option<u64> {
+        self.seg
+            .as_ref()
+            .filter(|_| self.from_tc)
+            .map(|s| s.provenance.seg_id)
+    }
 }
 
 /// Per-branch fetch-time snapshots used to build checkpoints.

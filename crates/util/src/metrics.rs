@@ -427,11 +427,21 @@ impl Registry {
             self.gauges.entry(name.clone()).or_default().set(g.get());
         }
         for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
+            self.merge_histogram(name, h);
+        }
+    }
+
+    /// Folds `h` into the named histogram, creating it as a copy of `h`
+    /// on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the histogram exists with different bounds.
+    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
+        match self.histograms.get_mut(name) {
+            Some(mine) => mine.merge(h),
+            None => {
+                self.histograms.insert(name.to_string(), h.clone());
             }
         }
     }

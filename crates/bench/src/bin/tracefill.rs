@@ -242,9 +242,15 @@ fn text<'a>(v: &'a Json, path: &[&str]) -> &'a str {
     at(v, path).and_then(Json::as_str).unwrap_or("?")
 }
 
+/// Assembles the program at `path`, or exits 1 naming the file: it cannot
+/// be read, does not assemble, or has no instructions to run.
 fn load(path: &str) -> Program {
     let src = or_exit!(std::fs::read_to_string(path), "cannot read {path}: ");
-    or_exit!(assemble(&src), "{path}: ")
+    let prog = or_exit!(assemble(&src), "{path}: ");
+    if prog.text_words().next().is_none() {
+        die!(1, "{path}: no instructions");
+    }
+    prog
 }
 
 fn parse_input(args: &[String]) -> IoCtx {

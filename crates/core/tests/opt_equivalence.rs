@@ -3,11 +3,12 @@
 
 mod common;
 
-use common::{check, range, stream};
+use common::stream;
 use tracefill_core::builder::{build_segments, FillInput};
 use tracefill_core::config::{ClusterConfig, FillConfig, OptConfig};
 use tracefill_core::opt::{self, verify};
 use tracefill_isa::{ArchReg, Instr, Op};
+use tracefill_util::prop::{check, range};
 use tracefill_util::SplitMix64;
 
 const CASES: u64 = 256;

@@ -2,13 +2,14 @@
 
 mod common;
 
-use common::{check, coin, stream};
+use common::stream;
 use std::sync::Arc;
 use tracefill_core::builder::{build_segments, FillInput};
 use tracefill_core::config::{FillConfig, TraceCacheConfig};
 use tracefill_core::segment::Segment;
 use tracefill_core::tcache::{match_predictions, TraceCache};
 use tracefill_isa::{ArchReg, Instr, Op};
+use tracefill_util::prop::{check, coin};
 use tracefill_util::SplitMix64;
 
 const CASES: u64 = 256;

@@ -6,7 +6,7 @@ use crate::machine::Simulator;
 use crate::observe::Event;
 use crate::physreg::NEVER;
 use crate::tracelog::Event as Pipe;
-use crate::uop::{UopId, UopState};
+use crate::uop::{Uop, UopId, UopState};
 use tracefill_isa::op::OpKind;
 use tracefill_isa::semantics::{alu_result, branch_taken, effective_addr, extend_load};
 use tracefill_uarch::hierarchy::Side;
@@ -33,7 +33,7 @@ impl Simulator {
         ids.sort_unstable();
         for id in ids {
             // The uop may have been squashed since it started executing.
-            let Some(u) = self.uops.get_mut(&id) else {
+            let Some(u) = self.uops.get_mut(id) else {
                 continue;
             };
             if !matches!(u.state, UopState::Executing { done } if done == self.cycle) {
@@ -45,7 +45,7 @@ impl Simulator {
             self.observers
                 .emit(self.cycle, Event::Pipeline(Pipe::Complete { uop: id }));
             if is_branch {
-                if let Some(b) = self.uops.get_mut(&id).and_then(|u| u.branch.as_mut()) {
+                if let Some(b) = self.uops.get_mut(id).and_then(|u| u.branch.as_mut()) {
                     b.resolved = true;
                 }
                 if !inactive {
@@ -60,7 +60,7 @@ impl Simulator {
     /// Acts on a resolved active branch: recovery, shadow activation or
     /// shadow discard.
     pub(crate) fn resolve_branch(&mut self, id: UopId) {
-        let u = &self.uops[&id];
+        let u = &self.uops[id];
         let b = u.branch.as_ref().expect("resolved uop is a branch");
         if u.op.is_cond_branch() {
             let actual = b.actual_taken.expect("resolved branch has outcome");
@@ -102,57 +102,29 @@ impl Simulator {
         // ("no memory operation bypasses a store with an unknown address")
         // depends on addresses appearing promptly.
         let now = self.cycle;
-        let store_ids: Vec<UopId> = self
-            .lsq
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.uops.get(id).is_some_and(|u| {
-                    u.mem
-                        .as_ref()
-                        .is_some_and(|m| !m.is_load && m.addr.is_none())
-                })
-            })
-            .collect();
-        for id in store_ids {
-            let u = &self.uops[&id];
+        for i in 0..self.stores.len() {
+            let id = self.stores[i];
+            let u = &self.uops[id];
+            if u.mem.as_ref().is_some_and(|m| m.addr.is_some()) {
+                continue;
+            }
             let cluster = self.cluster_of(u.fu);
             let base_ok = u.srcs[0]
                 .map(|p| self.phys.avail_at(p, cluster) <= now)
                 .unwrap_or(true);
             if base_ok {
                 let base = u.srcs[0].map(|p| self.phys.value(p)).unwrap_or(0);
-                let base = self.apply_scadd(&self.uops[&id], 0, base);
+                let base = self.apply_scadd(u, 0, base);
                 let addr = effective_addr(u.op, base, 0, u.imm);
-                self.uops.get_mut(&id).unwrap().mem.as_mut().unwrap().addr = Some(addr);
+                let m = self.uops.get_mut(id).and_then(|u| u.mem.as_mut());
+                m.expect("queued store has memory state").addr = Some(addr);
             }
         }
 
-        // Per-FU select: oldest ready entry.
         for fu in 0..self.rs.len() {
-            let mut best: Option<UopId> = None;
-            for &id in &self.rs[fu] {
-                let Some(u) = self.uops.get(&id) else {
-                    continue;
-                };
-                if u.state != UopState::Waiting || u.mem_deferred {
-                    continue;
-                }
-                if !self.srcs_ready(id) {
-                    continue;
-                }
-                if u.mem.as_ref().is_some_and(|m| m.is_load)
-                    && matches!(self.load_action(id), LoadAction::Blocked)
-                {
-                    continue;
-                }
-                if best.is_none_or(|b| id < b) {
-                    best = Some(id);
-                }
-            }
-            if let Some(id) = best {
-                self.execute_uop(id);
-                self.rs[fu].retain(|&x| x != id);
+            if let Some((pos, load)) = self.select(fu) {
+                let id = self.rs[fu].remove(pos);
+                self.execute_uop(id, load);
             }
         }
 
@@ -161,7 +133,7 @@ impl Simulator {
         // commit slots this cycle are charged to `bypass_delay` rather
         // than generic FU contention.
         if let Some(&head) = self.window.front() {
-            if let Some(u) = self.uops.get(&head) {
+            if let Some(u) = self.uops.get(head) {
                 if u.bypass_delayed && matches!(u.state, UopState::Executing { .. }) {
                     self.cpi_flags.head_bypass_delayed = true;
                 }
@@ -169,9 +141,31 @@ impl Simulator {
         }
     }
 
+    /// Selects the oldest ready entry of `fu`'s reservation station:
+    /// its position, and for a load the memory scheduler's verdict.
+    /// Stations hold ids in ascending order, so the first ready entry is
+    /// the oldest.
+    fn select(&self, fu: usize) -> Option<(usize, Option<LoadAction>)> {
+        for (pos, &id) in self.rs[fu].iter().enumerate() {
+            let Some(u) = self.uops.get(id) else {
+                continue;
+            };
+            if u.state != UopState::Waiting || u.mem_deferred || !self.srcs_ready(u) {
+                continue;
+            }
+            if !u.mem.as_ref().is_some_and(|m| m.is_load) {
+                return Some((pos, None));
+            }
+            match self.load_action(u) {
+                LoadAction::Blocked => continue,
+                verdict => return Some((pos, Some(verdict))),
+            }
+        }
+        None
+    }
+
     /// Whether all operands are available at the uop's cluster this cycle.
-    fn srcs_ready(&self, id: UopId) -> bool {
-        let u = &self.uops[&id];
+    fn srcs_ready(&self, u: &Uop) -> bool {
         let cluster = self.cluster_of(u.fu);
         u.srcs
             .iter()
@@ -180,7 +174,7 @@ impl Simulator {
     }
 
     /// The scaled-add shift, applied to operand `k`'s value if annotated.
-    fn apply_scadd(&self, u: &crate::uop::Uop, k: u8, v: u32) -> u32 {
+    fn apply_scadd(&self, u: &Uop, k: u8, v: u32) -> u32 {
         match u.scadd {
             Some(sc) if sc.src == k => v.wrapping_shl(sc.shift as u32),
             _ => v,
@@ -188,8 +182,7 @@ impl Simulator {
     }
 
     /// Decides what a ready load may do under the conservative scheduler.
-    fn load_action(&self, id: UopId) -> LoadAction {
-        let u = &self.uops[&id];
+    fn load_action(&self, u: &Uop) -> LoadAction {
         let m = u.mem.as_ref().expect("load has memory state");
         // Compute the load's address from its (ready) sources.
         let a = self.apply_scadd(u, 0, u.srcs[0].map(|p| self.phys.value(p)).unwrap_or(0));
@@ -198,20 +191,15 @@ impl Simulator {
         let lo = addr;
         let hi = addr.wrapping_add(m.size);
 
-        // Scan older in-flight memory ops; the youngest overlapping store
+        // Scan the older in-flight stores; the youngest overlapping one
         // decides.
         let mut verdict = LoadAction::Memory;
-        for &other_id in &self.lsq {
-            if other_id == id {
+        for &store in &self.stores {
+            if store > u.id {
                 break;
             }
-            let Some(o) = self.uops.get(&other_id) else {
-                continue;
-            };
-            let Some(om) = o.mem.as_ref() else { continue };
-            if om.is_load {
-                continue;
-            }
+            let o = &self.uops[store];
+            let om = o.mem.as_ref().expect("queued store has memory state");
             let Some(oaddr) = om.addr else {
                 // Unknown older store address blocks every younger access.
                 return LoadAction::Blocked;
@@ -231,17 +219,18 @@ impl Simulator {
                 }
             } else {
                 // Partial overlap: wait until the store retires (it will
-                // then have left the LSQ).
+                // then have left the store queue).
                 verdict = LoadAction::Blocked;
             }
         }
         verdict
     }
 
-    /// Begins execution of a ready uop on its functional unit.
-    fn execute_uop(&mut self, id: UopId) {
+    /// Begins execution of a ready uop on its functional unit; `load` is
+    /// the verdict [`select`](Self::select) reached for a load.
+    fn execute_uop(&mut self, id: UopId, load: Option<LoadAction>) {
         let now = self.cycle;
-        let u = &self.uops[&id];
+        let u = &self.uops[id];
         let cluster = self.cluster_of(u.fu);
 
         // Bypass-delay accounting (Figure 7): did the last-arriving operand
@@ -295,7 +284,7 @@ impl Simulator {
             OpKind::Load => {
                 let addr = effective_addr(op, a, b, imm);
                 mem_addr = Some(addr);
-                let (raw, extra) = match self.load_action(id) {
+                let (raw, extra) = match load.expect("select judged the load") {
                     LoadAction::Forward(v) => {
                         forwarded = true;
                         (v, 1)
@@ -321,7 +310,7 @@ impl Simulator {
         };
 
         let done = now + lat as u64;
-        let u = self.uops.get_mut(&id).unwrap();
+        let u = self.uops.get_mut(id).unwrap();
         u.state = UopState::Executing { done };
         u.fu_executed = true;
         u.bypass_delayed = bypass_delayed && u.srcs.iter().flatten().next().is_some();

@@ -228,6 +228,7 @@ impl Simulator {
             let meta = slot.branch.as_ref().expect("branch slot carries metadata");
             let ckpt_id = self.next_ckpt_id;
             self.next_ckpt_id += 1;
+            debug_assert!(self.checkpoints.last().is_none_or(|c| c.branch < id));
             self.checkpoints.push(Checkpoint {
                 id: ckpt_id,
                 branch: id,
@@ -250,10 +251,13 @@ impl Simulator {
         // Dispatch.
         let needs_rs = !uop.is_move && !uop.is_system() && !matches!(uop.op, Op::J | Op::Jal);
         if needs_rs {
-            self.rs[uop.fu as usize].push(id);
+            let rs = &mut self.rs[uop.fu as usize];
+            debug_assert!(rs.last().is_none_or(|&b| b < id));
+            rs.push(id);
         }
-        if uop.mem.is_some() && !in_shadow {
-            self.lsq.push_back(id);
+        if uop.mem.is_some_and(|m| !m.is_load) && !in_shadow {
+            debug_assert!(self.stores.back().is_none_or(|&b| b < id));
+            self.stores.push_back(id);
         }
 
         // Bookkeeping: window (active) or shadow.
@@ -266,15 +270,16 @@ impl Simulator {
                 let rat = sb.rat;
                 sb.branch_snaps.push((id, rat));
             }
-            self.uops.insert(id, uop);
+            self.uops.insert(uop);
         } else {
+            debug_assert!(self.window.back().is_none_or(|&b| b < id));
             self.window.push_back(id);
             let starts_shadow = self
                 .pending
                 .as_ref()
                 .map(|p| p.bundle.diverge_at == Some(p.next))
                 .unwrap_or(false);
-            self.uops.insert(id, uop);
+            self.uops.insert(uop);
             if starts_shadow {
                 // Slots after this one rename into a copy of the current
                 // (post-branch) map.

@@ -15,6 +15,20 @@
 //!    (bounded by width, checkpoints/cycle and RS space);
 //! 5. **fetch** — the next bundle is fetched from the trace cache or the
 //!    instruction cache.
+//!
+//! # Id order
+//!
+//! Uop ids come from one counter that only grows, and every structure
+//! that names uops keeps them in ascending id order, which is program
+//! order: the window, each reservation station, the store queue and the
+//! checkpoint list. Issue appends in id order. Shadow activation appends
+//! the shadow's uops only after `squash_younger` has removed everything
+//! younger than the anchor, so every id it appends is past the back.
+//! Removal keeps the order. The uop table, select, the memory scheduler
+//! and the window-position search rely on this: the oldest ready entry
+//! of a station is its first ready one, a load's older stores are the
+//! queue's prefix below its id, and `window_pos` is a binary search.
+//! Every append asserts the order in debug builds.
 
 use crate::config::SimConfig;
 use crate::cpi::{CpiFlags, CpiStack, StallCause};
@@ -24,7 +38,7 @@ use crate::oracle::{DivergenceReport, RetireEcho};
 use crate::physreg::{PhysFile, PhysReg};
 use crate::stats::{Report, Stats};
 use crate::tracelog::TraceLog;
-use crate::uop::{FetchBundle, Uop, UopId};
+use crate::uop::{FetchBundle, UopId, UopTable};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use tracefill_core::fill::FillUnit;
@@ -224,11 +238,13 @@ pub struct Simulator {
     pub(crate) checkpoints: Vec<Checkpoint>,
 
     // Window and backend.
-    pub(crate) uops: HashMap<UopId, Uop>,
+    pub(crate) uops: UopTable,
     pub(crate) window: VecDeque<UopId>,
     pub(crate) shadows: HashMap<UopId, Shadow>,
     pub(crate) rs: Vec<Vec<UopId>>,
-    pub(crate) lsq: VecDeque<UopId>,
+    /// In-flight active stores (loads never wait here: the memory
+    /// scheduler only asks which older stores a load must respect).
+    pub(crate) stores: VecDeque<UopId>,
     pub(crate) completions: BTreeMap<u64, Vec<UopId>>,
 
     // Control.
@@ -303,11 +319,11 @@ impl Simulator {
             next_uop_id: 0,
             next_ckpt_id: 0,
             checkpoints: Vec::new(),
-            uops: HashMap::new(),
+            uops: UopTable::default(),
             window: VecDeque::new(),
             shadows: HashMap::new(),
             rs: (0..num_fus).map(|_| Vec::new()).collect(),
-            lsq: VecDeque::new(),
+            stores: VecDeque::new(),
             completions: BTreeMap::new(),
             cycle: 0,
             halted: None,
@@ -661,7 +677,7 @@ impl Simulator {
 
     /// Program-order position of `id` in the window (for age comparisons).
     pub(crate) fn window_pos(&self, id: UopId) -> Option<usize> {
-        self.window.iter().position(|&u| u == id)
+        self.window.binary_search(&id).ok()
     }
 
     /// The cluster of a functional unit.
@@ -679,13 +695,13 @@ impl Simulator {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "cycle {} window={} lsq={}",
+            "cycle {} window={} stores={}",
             self.cycle,
             self.window.len(),
-            self.lsq.len()
+            self.stores.len()
         );
         for &id in self.window.iter().take(n) {
-            let Some(u) = self.uops.get(&id) else {
+            let Some(u) = self.uops.get(id) else {
                 continue;
             };
             let srcs: Vec<String> = u

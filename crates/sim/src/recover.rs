@@ -5,7 +5,6 @@ use crate::observe::Event;
 use crate::physreg::PhysFile;
 use crate::tracelog::Event as Pipe;
 use crate::uop::{ShadowResume, Uop, UopId};
-use std::collections::HashSet;
 use tracefill_isa::reg::NUM_ARCH_REGS;
 use tracefill_isa::{ArchReg, Op};
 
@@ -31,7 +30,7 @@ impl Simulator {
         self.predictor.restore(ckpt.ghr);
 
         let (op, pc, actual_taken, promoted, is_return) = {
-            let u = &self.uops[&branch_id];
+            let u = &self.uops[branch_id];
             (
                 u.op,
                 u.pc,
@@ -92,7 +91,7 @@ impl Simulator {
         self.ras.restore(ckpt.ras);
         self.predictor.restore(ckpt.ghr);
         let (anchor_actual, anchor_promoted) = {
-            let u = &self.uops[&branch_id];
+            let u = &self.uops[branch_id];
             (
                 u.branch
                     .as_ref()
@@ -119,21 +118,23 @@ impl Simulator {
             let ras_snap = self.ras.snapshot();
             let ghr_snap = self.predictor.snapshot();
 
-            let (op, pc, has_mem, is_sys, is_return) = {
-                let u = self.uops.get_mut(&id).expect("shadow uop exists");
+            let (op, pc, is_store, is_sys, is_return) = {
+                let u = self.uops.get_mut(id).expect("shadow uop exists");
                 u.inactive = false;
                 u.mem_deferred = false;
                 (
                     u.op,
                     u.pc,
-                    u.mem.is_some(),
+                    u.mem.is_some_and(|m| !m.is_load),
                     u.is_system(),
                     u.instr.op == Op::Jr && u.instr.rs == ArchReg::RA,
                 )
             };
+            debug_assert!(self.window.back().is_none_or(|&b| b < id));
             self.window.push_back(id);
-            if has_mem {
-                self.lsq.push_back(id);
+            if is_store {
+                debug_assert!(self.stores.back().is_none_or(|&b| b < id));
+                self.stores.push_back(id);
             }
             if is_sys {
                 self.serialize = Some(id);
@@ -146,6 +147,7 @@ impl Simulator {
                 let ckpt_id = self.next_ckpt_id;
                 self.next_ckpt_id += 1;
                 let rat = snap.expect("shadow branch has a rename snapshot");
+                debug_assert!(self.checkpoints.last().is_none_or(|c| c.branch < id));
                 self.checkpoints.push(crate::machine::Checkpoint {
                     id: ckpt_id,
                     branch: id,
@@ -154,7 +156,7 @@ impl Simulator {
                     ghr: ghr_snap,
                 });
                 let (embedded, promoted, resolved, actual_taken, actual_next) = {
-                    let u = self.uops.get_mut(&id).unwrap();
+                    let u = self.uops.get_mut(id).unwrap();
                     let b = u.branch.as_mut().expect("branch uop has context");
                     b.checkpoint = Some(ckpt_id);
                     (
@@ -190,7 +192,7 @@ impl Simulator {
                                 .unwrap_or(pc.wrapping_add(4)),
                         )
                     };
-                    let u = self.uops.get_mut(&id).unwrap();
+                    let u = self.uops.get_mut(id).unwrap();
                     u.branch.as_mut().unwrap().pred_target = target;
                 }
             }
@@ -209,7 +211,7 @@ impl Simulator {
             ShadowResume::Pc(pc) => pc,
             ShadowResume::Indirect => {
                 let last = *shadow.uops.last().expect("indirect shadow is nonempty");
-                let b = self.uops[&last].branch.as_ref().expect("terminal indirect");
+                let b = self.uops[last].branch.as_ref().expect("terminal indirect");
                 b.pred_target.expect("assigned above")
             }
         };
@@ -234,11 +236,9 @@ impl Simulator {
         };
         for id in shadow.uops {
             self.stats.discarded_inactive_uops += 1;
-            if self.serialize == Some(id) {
-                self.serialize = None;
-            }
             self.discard_uop(id);
         }
+        self.forget_discarded();
     }
 
     /// Squashes every active uop younger than `branch_id` (and their
@@ -247,51 +247,60 @@ impl Simulator {
         let pos = self
             .window_pos(branch_id)
             .expect("recovery anchor is in the window");
-        let removed: Vec<UopId> = self.window.split_off(pos + 1).into();
-        let mut dead: HashSet<UopId> = removed.iter().copied().collect();
+        let mut squashed = 0u64;
+        for id in self.window.split_off(pos + 1) {
+            self.squash_uop(id);
+            squashed += 1;
+        }
 
-        // Shadows anchored on squashed branches die with them.
-        let shadow_owners: Vec<UopId> = self
+        // Shadows anchored on squashed branches die with them, and a
+        // partially issued bundle (with its shadow under construction) is
+        // wrong-path by definition.
+        let mut owners: Vec<UopId> = self
             .shadows
             .keys()
             .copied()
-            .filter(|k| dead.contains(k))
+            .filter(|&k| !self.uops.contains(k))
             .collect();
-        for owner in shadow_owners {
-            let sh = self.shadows.remove(&owner).unwrap();
-            for id in sh.uops {
-                dead.insert(id);
-                self.stats.discarded_inactive_uops += 1;
-            }
-        }
-
-        // A partially issued bundle (and its shadow under construction) is
-        // wrong-path by definition.
-        if let Some(p) = self.pending.take() {
-            if let Some(sb) = p.shadow {
-                for id in sb.uops {
-                    dead.insert(id);
-                    self.stats.discarded_inactive_uops += 1;
-                }
-            }
+        owners.sort_unstable();
+        let mut inactive: Vec<UopId> = owners
+            .into_iter()
+            .flat_map(|k| self.shadows.remove(&k).expect("listed owner").uops)
+            .collect();
+        if let Some(sb) = self.pending.take().and_then(|p| p.shadow) {
+            inactive.extend(sb.uops);
         }
         self.fetch_buffer = None;
+        for &id in &inactive {
+            self.squash_uop(id);
+        }
+        self.stats.discarded_inactive_uops += inactive.len() as u64;
+        squashed += inactive.len() as u64;
 
-        for &id in &dead {
-            if let Some(u) = self.discard_uop_inner(id) {
-                let seg = u.tc_seg();
-                self.observers.emit(self.cycle, Event::Squash { seg });
-            }
+        self.forget_discarded();
+        self.stats.squashed_uops += squashed;
+    }
+
+    /// Discards one squashed uop and tells the observers.
+    fn squash_uop(&mut self, id: UopId) {
+        if let Some(u) = self.discard_uop(id) {
+            let seg = u.tc_seg();
+            self.observers.emit(self.cycle, Event::Squash { seg });
         }
-        self.lsq.retain(|id| !dead.contains(id));
+    }
+
+    /// Drops the ids of discarded uops from every structure that names
+    /// uops by id, keeping exactly the ones still in flight.
+    fn forget_discarded(&mut self) {
+        let uops = &self.uops;
+        self.stores.retain(|&id| uops.contains(id));
         for rs in &mut self.rs {
-            rs.retain(|id| !dead.contains(id));
+            rs.retain(|&id| uops.contains(id));
         }
-        self.checkpoints.retain(|c| !dead.contains(&c.branch));
-        if self.serialize.is_some_and(|s| dead.contains(&s)) {
+        self.checkpoints.retain(|c| uops.contains(c.branch));
+        if self.serialize.is_some_and(|s| !uops.contains(s)) {
             self.serialize = None;
         }
-        self.stats.squashed_uops += dead.len() as u64;
     }
 
     /// Self-repair full squash: every in-flight uop — active, inactive
@@ -312,7 +321,7 @@ impl Simulator {
         self.window.clear();
         self.shadows.clear();
         self.checkpoints.clear();
-        self.lsq.clear();
+        self.stores.clear();
         self.completions.clear();
         for rs in &mut self.rs {
             rs.clear();
@@ -338,10 +347,11 @@ impl Simulator {
 
     /// Removes one uop, releases its destination mapping and drops its
     /// result, returning the removed uop. Used for both squash and shadow
-    /// discard; the caller fixes up the shared structures (`lsq`, `rs`,
-    /// checkpoint list).
-    fn discard_uop_inner(&mut self, id: UopId) -> Option<Uop> {
-        let u = self.uops.remove(&id)?;
+    /// discard; the caller then calls
+    /// [`forget_discarded`](Self::forget_discarded) to fix up the shared
+    /// structures.
+    fn discard_uop(&mut self, id: UopId) -> Option<Uop> {
+        let u = self.uops.remove(id)?;
         for p in u.srcs.into_iter().flatten() {
             self.phys.release(p);
         }
@@ -349,14 +359,6 @@ impl Simulator {
             self.phys.release(p);
         }
         Some(u)
-    }
-
-    /// Removes a discarded-shadow uop (not in window/lsq; may be in RS).
-    fn discard_uop(&mut self, id: UopId) {
-        self.discard_uop_inner(id);
-        for rs in &mut self.rs {
-            rs.retain(|&x| x != id);
-        }
     }
 
     /// Flushes the fetch buffer and partially issued bundle and redirects.

@@ -20,7 +20,7 @@ impl Simulator {
         if self.cfg.divergence_ring == 0 {
             return;
         }
-        let u = &self.uops[&id];
+        let u = &self.uops[id];
         let echo = RetireEcho {
             cycle: self.cycle,
             seq: self.stats.retired,
@@ -44,7 +44,7 @@ impl Simulator {
         expected: String,
         actual: String,
     ) -> Box<DivergenceReport> {
-        let u = &self.uops[&id];
+        let u = &self.uops[id];
         Box::new(DivergenceReport {
             cycle: self.cycle,
             seq: self.stats.retired,
@@ -74,7 +74,7 @@ impl Simulator {
             let Some(&head) = self.window.front() else {
                 break;
             };
-            let u = &self.uops[&head];
+            let u = &self.uops[head];
 
             // Readiness.
             if u.is_system() {
@@ -200,7 +200,7 @@ impl Simulator {
             self.oracle.step().map_err(SimError::Oracle)?;
         }
 
-        let u = self.uops.get(&id).expect("retiring uop exists");
+        let u = self.uops.get(id).expect("retiring uop exists");
         let pc = u.pc;
         let instr = u.instr;
         let op = u.op;
@@ -260,7 +260,7 @@ impl Simulator {
         } else {
             None
         };
-        let fetch_miss_head = self.uops[&id].miss_head;
+        let fetch_miss_head = self.uops[id].miss_head;
         self.fill.retire(
             FillInput {
                 pc,
@@ -274,7 +274,7 @@ impl Simulator {
 
         // Release source holds and the displaced mapping, drop
         // checkpoints/shadows owned by this uop, and leave the window.
-        let srcs = self.uops[&id].srcs;
+        let srcs = self.uops[id].srcs;
         for p in srcs.into_iter().flatten() {
             self.phys.release(p);
         }
@@ -283,15 +283,15 @@ impl Simulator {
         }
         self.checkpoints.retain(|c| c.branch != id);
         self.drop_shadow(id);
-        if self.lsq.front() == Some(&id) {
-            self.lsq.pop_front();
+        if self.stores.front() == Some(&id) {
+            self.stores.pop_front();
         }
         self.observers.emit(
             self.cycle,
             Event::Pipeline(Pipe::Retire { uop: id, pc, seg }),
         );
         self.window.pop_front();
-        self.uops.remove(&id);
+        self.uops.remove(id);
         self.last_retire_cycle = self.cycle;
         Ok(())
     }
@@ -300,7 +300,7 @@ impl Simulator {
     /// against architectural state.
     fn retire_system(&mut self, id: u64) -> Result<(), SimError> {
         self.echo_retire(id);
-        let u = self.uops.get(&id).expect("retiring uop exists");
+        let u = self.uops.get(id).expect("retiring uop exists");
         // Architectural reads: all older uops retired, so every live
         // mapping is ready. The syscall itself renamed $v0 at issue, so
         // the service number lives in the mapping it displaced.
@@ -391,7 +391,7 @@ impl Simulator {
             self.cycle,
         );
 
-        let srcs = self.uops[&id].srcs;
+        let srcs = self.uops[id].srcs;
         for p in srcs.into_iter().flatten() {
             self.phys.release(p);
         }
@@ -403,7 +403,7 @@ impl Simulator {
             Event::Pipeline(Pipe::Retire { uop: id, pc, seg }),
         );
         self.window.pop_front();
-        self.uops.remove(&id);
+        self.uops.remove(id);
         self.serialize = None;
         self.fetch_pc = pc.wrapping_add(4);
         self.fetch_stall_until = 0;
@@ -424,7 +424,7 @@ impl Simulator {
         id: u64,
     ) -> Result<(Retired, Option<Box<DivergenceReport>>), SimError> {
         let r = self.oracle.step().map_err(SimError::Oracle)?;
-        let u = &self.uops[&id];
+        let u = &self.uops[id];
         if r.pc != u.pc || r.instr != u.instr {
             let report = self.divergence_report(
                 id,
@@ -502,7 +502,7 @@ impl Simulator {
     /// makes forward progress.
     fn contain_divergence(&mut self, id: u64, report: DivergenceReport, r: &Retired) {
         // Attribute and invalidate before the squash forgets the uop.
-        let seg = self.uops.get(&id).and_then(|u| u.seg.clone());
+        let seg = self.uops.get(id).and_then(|u| u.seg.clone());
         let (passes, class) = match seg.as_deref() {
             Some(s) => (s.provenance.passes(), s.end.name()),
             None => (Vec::new(), "unknown"),

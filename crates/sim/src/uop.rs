@@ -1,6 +1,8 @@
 //! In-flight micro-operations and fetch bundles.
 
 use crate::physreg::PhysReg;
+use std::collections::VecDeque;
+use std::ops::Index;
 use std::sync::Arc;
 use tracefill_core::segment::{ScAdd, Segment, SrcRef};
 use tracefill_isa::{ArchReg, Instr, Op};
@@ -145,6 +147,101 @@ impl Uop {
     }
 }
 
+/// Every in-flight uop, indexed by id.
+///
+/// Ids come from a counter that only grows, so the table is a deque of
+/// slots based at the oldest live id: a lookup is one subtraction, an
+/// insert lands at or past the back, and a removal trims empty slots from
+/// both ends. The table is therefore never longer than the span of live
+/// ids, however many uops a squash discards.
+#[derive(Debug, Default)]
+pub(crate) struct UopTable {
+    /// Id of `slots[0]`.
+    base: UopId,
+    slots: VecDeque<Option<Uop>>,
+    live: usize,
+}
+
+impl UopTable {
+    fn slot(&self, id: UopId) -> Option<usize> {
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    /// The uop with this id, if it is still in flight.
+    pub(crate) fn get(&self, id: UopId) -> Option<&Uop> {
+        self.slots[self.slot(id)?].as_ref()
+    }
+
+    /// As [`get`](Self::get), mutably.
+    pub(crate) fn get_mut(&mut self, id: UopId) -> Option<&mut Uop> {
+        let i = self.slot(id)?;
+        self.slots[i].as_mut()
+    }
+
+    /// Whether the uop with this id is still in flight.
+    pub(crate) fn contains(&self, id: UopId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Adds a uop under its own id.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the id is past every id the table holds.
+    pub(crate) fn insert(&mut self, uop: Uop) {
+        if self.slots.is_empty() {
+            self.base = uop.id;
+        }
+        let end = self.base + self.slots.len() as UopId;
+        assert!(uop.id >= end, "uop {} inserted out of id order", uop.id);
+        let gap = (uop.id - end) as usize;
+        self.slots.resize_with(self.slots.len() + gap, || None);
+        self.slots.push_back(Some(uop));
+        self.live += 1;
+    }
+
+    /// Removes and returns the uop with this id, if it is in flight.
+    pub(crate) fn remove(&mut self, id: UopId) -> Option<Uop> {
+        let i = self.slot(id)?;
+        let uop = self.slots[i].take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(uop)
+    }
+
+    /// Number of uops in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Every uop in flight, oldest first.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Uop> {
+        self.slots.iter().flatten()
+    }
+
+    /// Removes every uop.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.live = 0;
+    }
+}
+
+impl Index<UopId> for UopTable {
+    type Output = Uop;
+
+    fn index(&self, id: UopId) -> &Uop {
+        self.get(id)
+            .unwrap_or_else(|| panic!("uop {id} is not in flight"))
+    }
+}
+
 /// Per-branch fetch-time snapshots used to build checkpoints.
 #[derive(Debug, Clone)]
 pub struct BranchFetchMeta {
@@ -239,10 +336,9 @@ mod tests {
     use super::*;
     use tracefill_isa::instr::NOP;
 
-    #[test]
-    fn uop_flags() {
-        let u = Uop {
-            id: 0,
+    fn uop(id: UopId) -> Uop {
+        Uop {
+            id,
             pc: 0,
             instr: NOP,
             op: Op::Beq,
@@ -265,7 +361,12 @@ mod tests {
             bypass_delayed: false,
             fu_executed: false,
             seg: None,
-        };
+        }
+    }
+
+    #[test]
+    fn uop_flags() {
+        let u = uop(0);
         assert!(u.needs_checkpoint());
         assert!(!u.is_done());
         assert!(!u.is_system());
@@ -280,5 +381,82 @@ mod tests {
         };
         assert!(sys.is_system());
         assert!(!sys.needs_checkpoint());
+    }
+
+    /// A table holding `ids`, inserted in order.
+    fn table(ids: &[UopId]) -> UopTable {
+        let mut t = UopTable::default();
+        for &id in ids {
+            t.insert(uop(id));
+        }
+        t
+    }
+
+    #[test]
+    fn holes_in_the_middle_stay_reachable_around() {
+        let mut t = table(&[10, 11, 12, 13]);
+        assert_eq!(t.remove(11).map(|u| u.id), Some(11));
+        assert_eq!(t.remove(12).map(|u| u.id), Some(12));
+        assert_eq!(t[10].id, 10);
+        assert_eq!(t[13].id, 13);
+        assert!(t.get(11).is_none() && t.get(12).is_none());
+        t.insert(uop(20));
+        assert_eq!(t.get(20).map(|u| u.id), Some(20));
+        let ids: Vec<UopId> = t.values().map(|u| u.id).collect();
+        assert_eq!(ids, [10, 13, 20]);
+    }
+
+    #[test]
+    fn removing_the_front_moves_the_base_past_the_holes() {
+        let mut t = table(&[5, 6, 7, 8]);
+        t.remove(6);
+        t.remove(7);
+        t.remove(5);
+        assert_eq!((t.base, t.slots.len()), (8, 1));
+        assert_eq!(t[8].id, 8);
+    }
+
+    #[test]
+    fn removing_the_back_trims_the_table() {
+        let mut t = table(&[5, 6, 7, 8]);
+        t.remove(7);
+        t.remove(8);
+        assert_eq!((t.base, t.slots.len()), (5, 2));
+        t.remove(6);
+        t.remove(5);
+        assert!(t.slots.is_empty());
+        // An empty table rebases at the next insert.
+        t.insert(uop(40));
+        assert_eq!((t.base, t.slots.len()), (40, 1));
+    }
+
+    #[test]
+    fn retired_and_squashed_ids_are_gone() {
+        let mut t = table(&[3, 4, 5]);
+        t.remove(3); // retired from the head
+        t.remove(5); // squashed from the tail
+        assert!(t.get(3).is_none() && t.get_mut(5).is_none());
+        assert!(!t.contains(3) && t.contains(4));
+        assert!(t.remove(3).is_none());
+        // Ids never issued, below the base and past the back.
+        assert!(t.get(0).is_none() && t.get(99).is_none());
+    }
+
+    #[test]
+    fn len_counts_only_live_uops() {
+        let mut t = table(&[1, 2, 3, 4, 5]);
+        t.remove(2);
+        t.remove(4);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.slots.len(), 5);
+        t.clear();
+        assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of id order")]
+    fn inserting_below_the_back_panics() {
+        let mut t = table(&[7, 8]);
+        t.insert(uop(8));
     }
 }

@@ -1,28 +1,54 @@
 //! Property tests for the microarchitectural substrates.
 
-use proptest::prelude::*;
 use tracefill_uarch::bias::{BiasConfig, BiasTable};
 use tracefill_uarch::cache::{CacheConfig, SetAssocCache};
 use tracefill_uarch::pht::MultiBranchPredictor;
 use tracefill_uarch::ras::ReturnStack;
+use tracefill_util::prop::{check, coin};
+use tracefill_util::SplitMix64;
 
-proptest! {
-    /// The most recently used line is never the one evicted: after any
-    /// access sequence, re-touching the last address always hits.
-    #[test]
-    fn mru_line_survives(addrs in prop::collection::vec(0u32..0x4000, 1..200)) {
-        let mut c = SetAssocCache::new(CacheConfig { bytes: 256, ways: 2, line_bytes: 16 });
+const CASES: u64 = 256;
+
+/// Values drawn by `draw`, a random number in `[min, max)` of them.
+fn vec_of<T>(
+    rng: &mut SplitMix64,
+    min: u64,
+    max: u64,
+    draw: impl Fn(&mut SplitMix64) -> T,
+) -> Vec<T> {
+    let len = rng.range_u64(min, max);
+    (0..len).map(|_| draw(rng)).collect()
+}
+
+/// The most recently used line is never the one evicted: after any
+/// access sequence, re-touching the last address always hits.
+#[test]
+fn mru_line_survives() {
+    check("mru_line_survives", CASES, |rng| {
+        let addrs = vec_of(rng, 1, 200, |rng| rng.range_u32(0, 0x4000));
+        let mut c = SetAssocCache::new(CacheConfig {
+            bytes: 256,
+            ways: 2,
+            line_bytes: 16,
+        });
         for &a in &addrs {
             c.access(a);
-            prop_assert!(c.probe(a), "just-accessed address must be resident");
+            assert!(c.probe(a), "just-accessed address must be resident");
         }
-    }
+    });
+}
 
-    /// A direct-mapped-equivalent working set that fits the cache never
-    /// misses after the first pass.
-    #[test]
-    fn resident_working_set_always_hits(start in 0u32..1024) {
-        let cfg = CacheConfig { bytes: 1024, ways: 4, line_bytes: 32 };
+/// A direct-mapped-equivalent working set that fits the cache never
+/// misses after the first pass.
+#[test]
+fn resident_working_set_always_hits() {
+    check("resident_working_set_always_hits", CASES, |rng| {
+        let start = rng.range_u32(0, 1024);
+        let cfg = CacheConfig {
+            bytes: 1024,
+            ways: 4,
+            line_bytes: 32,
+        };
         let mut c = SetAssocCache::new(cfg);
         let lines: Vec<u32> = (0..cfg.bytes / cfg.line_bytes)
             .map(|i| start + i * cfg.line_bytes)
@@ -33,26 +59,33 @@ proptest! {
         let misses_before = c.stats().misses;
         for _ in 0..3 {
             for &a in &lines {
-                prop_assert!(c.access(a));
+                assert!(c.access(a));
             }
         }
-        prop_assert_eq!(c.stats().misses, misses_before);
-    }
+        assert_eq!(c.stats().misses, misses_before);
+    });
+}
 
-    /// Training a PHT entry with a constant direction always converges to
-    /// predicting that direction within two updates.
-    #[test]
-    fn pht_converges(pc in any::<u32>(), dir in any::<bool>(), slot in 0usize..3) {
+/// Training a PHT entry with a constant direction always converges to
+/// predicting that direction within two updates.
+#[test]
+fn pht_converges() {
+    check("pht_converges", CASES, |rng| {
+        let (pc, dir, slot) = (rng.next_u32(), coin(rng), rng.range_u64(0, 3) as usize);
         let mut p = MultiBranchPredictor::default();
         let pr = p.predict(pc, slot);
         p.update(pr, dir);
         p.update(pr, dir);
-        prop_assert_eq!(p.predict(pc, slot).taken, dir);
-    }
+        assert_eq!(p.predict(pc, slot).taken, dir);
+    });
+}
 
-    /// History snapshots restore exactly regardless of intervening pushes.
-    #[test]
-    fn history_restore_is_exact(pushes in prop::collection::vec(any::<bool>(), 0..40), pc in any::<u32>()) {
+/// History snapshots restore exactly regardless of intervening pushes.
+#[test]
+fn history_restore_is_exact() {
+    check("history_restore_is_exact", CASES, |rng| {
+        let pushes = vec_of(rng, 0, 40, coin);
+        let pc = rng.next_u32();
         let mut p = MultiBranchPredictor::default();
         let snap = p.snapshot();
         let before = p.predict(pc, 0).index;
@@ -60,29 +93,56 @@ proptest! {
             p.push_history(t);
         }
         p.restore(snap);
-        prop_assert_eq!(p.predict(pc, 0).index, before);
-    }
+        assert_eq!(p.predict(pc, 0).index, before);
+    });
+}
 
-    /// The bias table promotes after exactly `threshold` consecutive
-    /// identical outcomes and demotes on the first contrary one.
-    /// (Threshold 1 is excluded: there a single contrary outcome is
-    /// itself a full run and legitimately re-promotes the new direction.)
-    #[test]
-    fn promotion_boundary(threshold in 2u8..32, dir in any::<bool>()) {
-        let mut t = BiasTable::new(BiasConfig { entries: 64, threshold });
+/// The bias table promotes after exactly `threshold` consecutive
+/// identical outcomes and demotes on the first contrary one.
+/// (Threshold 1 is pinned separately below: there a single contrary
+/// outcome is itself a full run and re-promotes the new direction.)
+#[test]
+fn promotion_boundary() {
+    check("promotion_boundary", CASES, |rng| {
+        let (threshold, dir) = (rng.range_u32(2, 32) as u8, coin(rng));
+        let mut t = BiasTable::new(BiasConfig {
+            entries: 64,
+            threshold,
+        });
         for i in 0..threshold {
-            prop_assert_eq!(t.promoted(0), None, "promoted after only {} outcomes", i);
+            assert_eq!(t.promoted(0), None, "promoted after only {i} outcomes");
             t.observe(0, dir);
         }
-        prop_assert_eq!(t.promoted(0), Some(dir));
+        assert_eq!(t.promoted(0), Some(dir));
         t.observe(0, !dir);
-        prop_assert_eq!(t.promoted(0), None);
-    }
+        assert_eq!(t.promoted(0), None);
+    });
+}
 
-    /// RAS push/pop behaves as a bounded stack: popping after n pushes
-    /// returns the last min(n, depth) addresses in reverse order.
-    #[test]
-    fn ras_is_a_bounded_stack(addrs in prop::collection::vec(any::<u32>(), 0..24), depth in 1usize..12) {
+/// At threshold 1 every outcome is a full run: the first one promotes,
+/// and a contrary one demotes and at once promotes its own direction.
+#[test]
+fn threshold_one_repromotes_the_contrary_direction() {
+    for dir in [false, true] {
+        let mut t = BiasTable::new(BiasConfig {
+            entries: 64,
+            threshold: 1,
+        });
+        assert_eq!(t.promoted(0), None);
+        t.observe(0, dir);
+        assert_eq!(t.promoted(0), Some(dir));
+        t.observe(0, !dir);
+        assert_eq!(t.promoted(0), Some(!dir));
+    }
+}
+
+/// RAS push/pop behaves as a bounded stack: popping after n pushes
+/// returns the last min(n, depth) addresses in reverse order.
+#[test]
+fn ras_is_a_bounded_stack() {
+    check("ras_is_a_bounded_stack", CASES, |rng| {
+        let addrs = vec_of(rng, 0, 24, |rng| rng.next_u32());
+        let depth = rng.range_u64(1, 12) as usize;
         let mut r = ReturnStack::new(depth);
         for &a in &addrs {
             r.push(a);
@@ -92,6 +152,6 @@ proptest! {
         while let Some(a) = r.pop() {
             got.push(a);
         }
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
 }

@@ -13,7 +13,9 @@
 //!   run identifiers in `tracefill-harness`;
 //! * [`metrics`] — counters, gauges and fixed-bucket mergeable histograms
 //!   with deterministic JSON export, the substrate for fill-unit opt
-//!   telemetry and harness aggregation.
+//!   telemetry and harness aggregation;
+//! * [`prop`] — a seeded property runner on SplitMix64, replacing
+//!   `proptest` for the workspace's property tests.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -21,6 +23,7 @@
 pub mod hash;
 pub mod json;
 pub mod metrics;
+pub mod prop;
 pub mod rng;
 
 pub use hash::fnv1a64;

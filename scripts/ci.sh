@@ -1,8 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification — runs fully offline (the workspace has no external
-# dependencies; core's property tests run on an in-tree seeded runner, and
-# only the `isa` and `uarch` proptest targets stay behind their
-# off-by-default `proptest-tests` features until they are ported too).
+# dependencies; every property test runs on the in-tree seeded runner in
+# `tracefill_util::prop`, and no test target is feature-gated).
 #
 #   scripts/ci.sh
 #

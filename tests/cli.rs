@@ -372,6 +372,28 @@ fn a_flag_in_place_of_the_file_argument_is_a_usage_error() {
 }
 
 #[test]
+fn programs_without_instructions_are_rejected() {
+    // An empty file used to run 200M cycles over zeroed memory and exit 0.
+    let dir = scratch("no-instructions");
+    for (name, src) in [
+        ("empty.s", ""),
+        ("data-only.s", "        .data\nvals:   .word 1, 2, 3\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).unwrap();
+        let file = path.to_str().unwrap();
+        let want = format!("{file}: no instructions");
+        for cmd in ["run", "trace", "interp", "characterize", "verify"] {
+            let out = bin().args([cmd, file]).output().unwrap();
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {err}");
+            assert!(err.contains(&want), "{cmd} {name}: {err}");
+            assert!(out.stdout.is_empty(), "{cmd} {name} printed a result");
+        }
+    }
+}
+
+#[test]
 fn heal_sweep_has_zero_fatal_divergences_and_is_byte_deterministic() {
     let args = [
         "heal", "--trials", "3", "--budget", "6000", "--seed", "7", "--json",

@@ -13,6 +13,7 @@
 
 use std::process::exit;
 use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
+use tracefill_core::QuarantineConfig;
 use tracefill_harness::{
     report, run_adapt, run_campaign_with, runner, store, AdaptSpec, CampaignOptions, CampaignSpec,
     CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunRecord, RunStatus, Tally,
@@ -21,7 +22,7 @@ use tracefill_isa::asm::assemble;
 use tracefill_isa::interp::Interp;
 use tracefill_isa::syscall::IoCtx;
 use tracefill_isa::Program;
-use tracefill_sim::{FaultKind, RepairConfig, RunExit, SimConfig, Simulator};
+use tracefill_sim::{FaultKind, RunExit, SimConfig, Simulator};
 use tracefill_util::Json;
 
 /// Prints a message and exits with `code`: 2 for a usage error, 1 for a
@@ -699,15 +700,17 @@ fn cmd_inject(args: &[String]) {
 /// runs; the exit code is 1 if any armed run dies. Same seed ⇒
 /// byte-identical JSON.
 fn cmd_heal(args: &[String]) {
-    let ladder = RepairConfig::default();
+    let ladder = QuarantineConfig::default();
     let quarantine_after: u64 = parse_flag(args, "--quarantine-after", ladder.quarantine_after);
     let disable_after: u64 = parse_flag(args, "--disable-after", ladder.disable_after);
     let (sweep, tallies) = fault_sweep(args, |opts| {
         let mut cfg = SimConfig::with_opts(opts);
         cfg.fill.strict_verify = false;
         cfg.self_repair.enabled = true;
-        cfg.self_repair.quarantine_after = quarantine_after;
-        cfg.self_repair.disable_after = disable_after;
+        cfg.self_repair.ladder = QuarantineConfig {
+            quarantine_after,
+            disable_after,
+        };
         cfg
     });
     if has(args, "--json") {

@@ -66,7 +66,7 @@ impl SegmentBuilder {
     }
 
     /// Whether the pending segment can absorb `input` under `cfg`'s limits.
-    pub fn can_accept(&self, input: &FillInput, cfg: &FillConfig) -> bool {
+    fn can_accept(&self, input: &FillInput, cfg: &FillConfig) -> bool {
         if self.slots.is_empty() {
             return true;
         }
@@ -89,14 +89,35 @@ impl SegmentBuilder {
         true
     }
 
-    /// The start address of the pending segment, if any.
-    pub fn start_pc(&self) -> Option<u32> {
-        self.slots.first().map(|s| s.pc)
+    /// Adds one retired instruction under `cfg`'s termination rules and
+    /// returns the segments it closed, oldest first: the pending segment
+    /// when `input` heads a fetch-missed bundle (fetch-aligned fill) or
+    /// cannot join it (slot limit, loop wrap or branch limit), then the
+    /// segment `input` itself terminates.
+    pub fn offer(&mut self, input: FillInput, cfg: &FillConfig) -> impl Iterator<Item = Segment> {
+        let before = if input.fetch_miss_head && !self.is_empty() {
+            self.finalize(SegEnd::FetchAligned)
+        } else if !self.can_accept(&input, cfg) {
+            let end = if self.len() >= cfg.max_slots {
+                SegEnd::Full
+            } else if cfg.align_loops && self.slots[0].pc == input.pc {
+                SegEnd::Loop
+            } else {
+                SegEnd::BranchLimit
+            };
+            self.finalize(end)
+        } else {
+            None
+        };
+        self.push(input);
+        let after = self
+            .must_terminate_after(&input, cfg)
+            .and_then(|end| self.finalize(end));
+        before.into_iter().chain(after)
     }
 
-    /// Whether the segment must terminate now that `input` has been pushed
-    /// (call after [`push`](Self::push)).
-    pub fn must_terminate_after(&self, input: &FillInput, cfg: &FillConfig) -> Option<SegEnd> {
+    /// Whether the segment must terminate now that `input` has been pushed.
+    fn must_terminate_after(&self, input: &FillInput, cfg: &FillConfig) -> Option<SegEnd> {
         let op = input.instr.op;
         if op.is_indirect() {
             return Some(SegEnd::Indirect);
@@ -118,8 +139,8 @@ impl SegmentBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the segment is already at the slot limit (callers check
-    /// [`can_accept`](Self::can_accept) first).
+    /// Panics if the segment already holds 64 slots (callers go through
+    /// [`offer`](Self::offer), which closes full segments first).
     pub fn push(&mut self, input: FillInput) {
         assert!(self.slots.len() < 16 * 4, "builder overfilled");
         if !self.slots.is_empty() && input.pc == self.slots[0].pc && self.wrap_body.is_none() {
@@ -230,20 +251,7 @@ pub fn build_segments(inputs: &[FillInput], cfg: &FillConfig) -> Vec<Segment> {
     let mut b = SegmentBuilder::new();
     let mut out = Vec::new();
     for &input in inputs {
-        if !b.can_accept(&input, cfg) {
-            let end = if b.len() >= cfg.max_slots {
-                SegEnd::Full
-            } else if cfg.align_loops && b.start_pc() == Some(input.pc) {
-                SegEnd::Loop
-            } else {
-                SegEnd::BranchLimit
-            };
-            out.extend(b.finalize(end));
-        }
-        b.push(input);
-        if let Some(end) = b.must_terminate_after(&input, cfg) {
-            out.extend(b.finalize(end));
-        }
+        out.extend(b.offer(input, cfg));
     }
     out.extend(b.finalize(SegEnd::Flushed));
     out

@@ -11,7 +11,7 @@ use crate::builder::{FillInput, SegmentBuilder};
 use crate::config::FillConfig;
 use crate::opt::{self, OptCounts};
 use crate::quarantine::{Escalation, Quarantine, QuarantineConfig};
-use crate::segment::{SegEnd, Segment};
+use crate::segment::{SegEnd, SegSource, Segment};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use tracefill_policy::{PassController, PassMask};
@@ -47,18 +47,10 @@ impl FillStats {
 /// everything needed to report the failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyFailure {
-    /// Fill-unit id of the rejected segment.
-    pub seg_id: u64,
-    /// Its start address.
-    pub start_pc: u32,
-    /// Its length in instruction slots.
-    pub len: usize,
+    /// The rejected segment.
+    pub seg: SegSource,
     /// What the verifier objected to.
     pub detail: String,
-    /// Which optimization passes had touched the segment.
-    pub passes: Vec<&'static str>,
-    /// Injected-fault note, if the segment had been corrupted.
-    pub fault: Option<String>,
     /// The segment's termination cause (its quarantine provenance class).
     pub end: &'static str,
 }
@@ -193,32 +185,15 @@ impl FillUnit {
         if let Some(c) = self.controller.as_mut() {
             c.on_retire(now);
         }
-        // Fetch-aligned fill: this address is one the fetch engine looked
-        // up and missed; start the next segment exactly here so the fill
-        // converges onto the fetch-address chain.
-        if input.fetch_miss_head && !self.builder.is_empty() {
-            self.finalize(SegEnd::FetchAligned, now);
-        }
-        if !self.builder.can_accept(&input, &self.config) {
-            let end = if self.builder.len() >= self.config.max_slots {
-                SegEnd::Full
-            } else if self.config.align_loops && self.builder.start_pc() == Some(input.pc) {
-                SegEnd::Loop
-            } else {
-                SegEnd::BranchLimit
-            };
-            self.finalize(end, now);
-        }
-        self.builder.push(input);
-        if let Some(end) = self.builder.must_terminate_after(&input, &self.config) {
-            self.finalize(end, now);
+        for seg in self.builder.offer(input, &self.config) {
+            self.finalize(seg, now);
         }
     }
 
-    fn finalize(&mut self, end: SegEnd, now: u64) {
-        let Some(mut seg) = self.builder.finalize(end) else {
-            return;
-        };
+    /// Stamps, optimizes, counts and verifies one closed segment, then
+    /// sends it down the fill pipeline.
+    fn finalize(&mut self, mut seg: Segment, now: u64) {
+        let end = seg.end;
         seg.provenance.seg_id = self.next_seg_id;
         seg.provenance.build_cycle = now;
         self.next_seg_id += 1;
@@ -276,12 +251,8 @@ impl FillUnit {
                 self.telemetry.inc("fill.verify.fail");
                 if self.verify_failure.is_none() {
                     self.verify_failure = Some(VerifyFailure {
-                        seg_id: seg.provenance.seg_id,
-                        start_pc: seg.start_pc,
-                        len: seg.slots.len(),
+                        seg: SegSource::of(&seg),
                         detail,
-                        passes: seg.provenance.passes(),
-                        fault: seg.provenance.fault.clone(),
                         end: end.name(),
                     });
                 }

@@ -14,7 +14,9 @@
 //! block-number bits) plus 7 optimization bits (1 move, 2 scaled add, 4
 //! placement).
 
+use std::fmt;
 use tracefill_isa::{ArchReg, Instr, Op};
+use tracefill_util::Json;
 
 /// Where a source operand's value comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,6 +189,68 @@ impl Provenance {
             out.push("placement");
         }
         out
+    }
+}
+
+/// The provenance of one segment as a checker reports it: which segment a
+/// divergence or a verification failure came from, and what rewrote it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegSource {
+    /// Fill-unit id of the segment.
+    pub seg_id: u64,
+    /// Segment start address.
+    pub start_pc: u32,
+    /// Number of instruction slots.
+    pub len: usize,
+    /// Optimization passes that transformed the segment.
+    pub passes: Vec<&'static str>,
+    /// Injected-fault note, if the segment was deliberately corrupted.
+    pub fault: Option<String>,
+}
+
+impl SegSource {
+    /// Extracts provenance from a segment.
+    pub fn of(seg: &Segment) -> SegSource {
+        SegSource {
+            seg_id: seg.provenance.seg_id,
+            start_pc: seg.start_pc,
+            len: seg.slots.len(),
+            passes: seg.provenance.passes(),
+            fault: seg.provenance.fault.clone(),
+        }
+    }
+
+    /// The `segment` object of divergence and repair reports.
+    pub fn to_json(&self) -> Json {
+        Json::object()
+            .with("seg_id", self.seg_id)
+            .with("start_pc", u64::from(self.start_pc))
+            .with("len", self.len)
+            .with(
+                "passes",
+                Json::Arr(self.passes.iter().map(|s| Json::from(*s)).collect()),
+            )
+            .with(
+                "fault",
+                self.fault.as_deref().map(Json::from).unwrap_or(Json::Null),
+            )
+    }
+}
+
+impl fmt::Display for SegSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "seg#{} @{:#010x} len={} passes=[{}]",
+            self.seg_id,
+            self.start_pc,
+            self.len,
+            self.passes.join(",")
+        )?;
+        if let Some(fault) = &self.fault {
+            write!(f, " fault={fault}")?;
+        }
+        Ok(())
     }
 }
 

@@ -1,6 +1,7 @@
 //! Simulator configuration, defaulting to the paper's machine (§3).
 
 use tracefill_core::config::{ClusterConfig, FillConfig, TraceCacheConfig};
+use tracefill_core::QuarantineConfig;
 use tracefill_isa::op::OpKind;
 use tracefill_uarch::bias::BiasConfig;
 use tracefill_uarch::hierarchy::HierarchyConfig;
@@ -63,40 +64,15 @@ impl LatencyConfig {
 /// state, restores architectural state from the interpreter-verified
 /// retirement point, invalidates the offending trace-cache segment, and
 /// resumes through the conventional fetch path. Repeat offenders climb the
-/// escalation ladder (see [`tracefill_core::quarantine`]): after
-/// `quarantine_after` offenses a pass is quarantined for that segment
-/// class, after `disable_after` total offenses it is disabled
-/// machine-wide. Disabled by default; a disabled machine is bit-for-bit
-/// identical to one built before self-repair existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// escalation ladder (see [`tracefill_core::quarantine`]) at the
+/// thresholds in `ladder`. Disabled by default; a disabled machine is
+/// bit-for-bit identical to one built before self-repair existed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Offenses of one `(pass, class)` pair before class quarantine.
-    pub quarantine_after: u64,
-    /// Total offenses of one pass before machine-wide disable.
-    pub disable_after: u64,
-}
-
-impl Default for RepairConfig {
-    fn default() -> RepairConfig {
-        let q = tracefill_core::QuarantineConfig::default();
-        RepairConfig {
-            enabled: false,
-            quarantine_after: q.quarantine_after,
-            disable_after: q.disable_after,
-        }
-    }
-}
-
-impl RepairConfig {
-    /// The ladder thresholds as a core quarantine configuration.
-    pub fn quarantine(&self) -> tracefill_core::QuarantineConfig {
-        tracefill_core::QuarantineConfig {
-            quarantine_after: self.quarantine_after,
-            disable_after: self.disable_after,
-        }
-    }
+    /// The escalation ladder's thresholds.
+    pub ladder: QuarantineConfig,
 }
 
 /// Full machine configuration.
@@ -138,11 +114,9 @@ pub struct SimConfig {
     /// Check every retirement against the functional oracle (cheap; leave
     /// on outside of benchmarking hot loops). On divergence the run aborts
     /// with a structured
-    /// [`DivergenceReport`](crate::oracle::DivergenceReport).
+    /// [`DivergenceReport`](crate::oracle::DivergenceReport), unless
+    /// `self_repair` contains it.
     pub oracle_check: bool,
-    /// Ring-buffer depth for the divergence report's recent-retirement
-    /// echo (0 disables the ring; ignored when `oracle_check` is off).
-    pub divergence_ring: usize,
     /// Deterministic fault schedule to execute during the run (`None` for
     /// a clean run). See [`crate::inject`].
     pub fault_plan: Option<crate::inject::FaultPlan>,
@@ -185,7 +159,6 @@ impl Default for SimConfig {
                 ..FillConfig::default()
             },
             oracle_check: true,
-            divergence_ring: 16,
             fault_plan: None,
             trace_depth: 0,
             ledger: false,

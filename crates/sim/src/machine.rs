@@ -254,8 +254,8 @@ pub struct Simulator {
     pub(crate) last_retire_cycle: u64,
 
     // Robustness.
-    /// Ring buffer of recent retirements for divergence reports (bounded
-    /// by `cfg.divergence_ring`).
+    /// Ring buffer of recent retirements for divergence reports (the last
+    /// [`RING_DEPTH`](crate::oracle::RING_DEPTH)).
     pub(crate) retire_ring: VecDeque<RetireEcho>,
     /// Deterministic fault injector, when the config carries a plan.
     pub(crate) injector: Option<FaultInjector>,
@@ -296,7 +296,7 @@ impl Simulator {
         let num_fus = cfg.num_fus();
         let mut fill = FillUnit::new(cfg.fill);
         if cfg.self_repair.enabled {
-            fill.enable_quarantine(cfg.self_repair.quarantine());
+            fill.enable_quarantine(cfg.self_repair.ladder);
         }
         Simulator {
             mem: program.load(),
@@ -463,7 +463,7 @@ impl Simulator {
             use tracefill_core::quarantine::Escalation;
             metrics.add("repair.total", self.repairs.len() as u64);
             for ev in &self.repairs {
-                metrics.inc(&format!("repair.kind.{}", ev.kind));
+                metrics.inc(&format!("repair.kind.{}", ev.site.kind));
                 if ev.invalidated {
                     metrics.inc("repair.invalidated");
                 }

@@ -1,23 +1,29 @@
-//! Structured divergence reporting for the lockstep oracle.
+//! Structured divergence reports: the one shape every checker's finding
+//! takes.
 //!
-//! The simulator drives the functional interpreter
-//! ([`tracefill_isa::interp::Interp`]) in lockstep at retirement: every
-//! retired instruction's PC, destination write, memory effect and control
-//! flow are compared against the interpreter's ground truth. When they
-//! disagree, the run aborts with a [`DivergenceReport`] instead of a bare
-//! mismatch string: the report carries the divergence site, the expected
-//! and observed effects, a ring buffer of the last N retirements
-//! ([`RetireEcho`]) and — when the diverging instruction was fetched from
-//! the trace cache — the provenance of the originating segment
-//! ([`SegSource`]): its fill-unit id, which optimization passes rewrote
-//! it, and any injected-fault note. This is what lets a corrupted trace
-//! line be attributed to the exact segment (and pass set) that produced
-//! it.
+//! Two checkers guard architectural equality. The lockstep oracle steps
+//! the functional interpreter ([`tracefill_isa::interp::Interp`]) at
+//! retirement and compares every retired instruction's PC, destination
+//! write, memory effect and control flow with it; strict verification
+//! rejects a segment the optimization passes broke before it reaches the
+//! trace cache (kind `segment-verify`). Either way the finding is one
+//! [`DivergenceReport`]: the site (cycle, retire sequence, PC, kind,
+//! expected and observed effects), a ring of the last 16 retirements
+//! ([`RetireEcho`]) and, when a trace segment is to blame, its provenance
+//! ([`SegSource`]): fill-unit id, the passes that rewrote it and any
+//! injected-fault note. The retire stage hands every report to one
+//! decision point: without self-repair it becomes the fatal
+//! [`SimError::Divergence`](crate::SimError::Divergence); with it, the
+//! machine contains the divergence and keeps the report in a
+//! [`RepairEvent`](crate::repair::RepairEvent).
 
 use std::fmt;
-use tracefill_core::segment::Segment;
+pub use tracefill_core::segment::SegSource;
 use tracefill_isa::Instr;
 use tracefill_util::Json;
+
+/// Depth of the recent-retirement ring a divergence report carries.
+pub(crate) const RING_DEPTH: usize = 16;
 
 /// One retired instruction echoed into the divergence ring buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,51 +57,6 @@ impl fmt::Display for RetireEcho {
     }
 }
 
-/// Provenance of the trace segment a diverging instruction came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegSource {
-    /// Fill-unit id of the segment.
-    pub seg_id: u64,
-    /// Segment start address.
-    pub start_pc: u32,
-    /// Number of instruction slots.
-    pub len: usize,
-    /// Optimization passes that transformed the segment.
-    pub passes: Vec<&'static str>,
-    /// Injected-fault note, if the segment was deliberately corrupted.
-    pub fault: Option<String>,
-}
-
-impl SegSource {
-    /// Extracts provenance from a segment.
-    pub fn of(seg: &Segment) -> SegSource {
-        SegSource {
-            seg_id: seg.provenance.seg_id,
-            start_pc: seg.start_pc,
-            len: seg.slots.len(),
-            passes: seg.provenance.passes(),
-            fault: seg.provenance.fault.clone(),
-        }
-    }
-}
-
-impl fmt::Display for SegSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seg#{} @{:#010x} len={} passes=[{}]",
-            self.seg_id,
-            self.start_pc,
-            self.len,
-            self.passes.join(",")
-        )?;
-        if let Some(fault) = &self.fault {
-            write!(f, " fault={fault}")?;
-        }
-        Ok(())
-    }
-}
-
 /// A structured lockstep-divergence report: everything needed to attribute
 /// a wrong retirement to its cause without rerunning the simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,33 +84,25 @@ pub struct DivergenceReport {
 }
 
 impl DivergenceReport {
-    /// Serializes the report for machine consumption (`tracefill verify`).
-    pub fn to_json(&self) -> Json {
-        let mut v = Json::object()
+    /// The site fields as JSON (every field but `recent`): the shared
+    /// prefix of this report's and a repair event's serialization.
+    pub(crate) fn site_json(&self) -> Json {
+        let v = Json::object()
             .with("cycle", self.cycle)
             .with("seq", self.seq)
             .with("pc", u64::from(self.pc))
             .with("kind", self.kind)
             .with("expected", self.expected.as_str())
             .with("actual", self.actual.as_str());
-        if let Some(p) = &self.provenance {
-            v = v.with(
-                "segment",
-                Json::object()
-                    .with("seg_id", p.seg_id)
-                    .with("start_pc", u64::from(p.start_pc))
-                    .with("len", p.len)
-                    .with(
-                        "passes",
-                        Json::Arr(p.passes.iter().map(|s| Json::from(*s)).collect()),
-                    )
-                    .with(
-                        "fault",
-                        p.fault.as_deref().map(Json::from).unwrap_or(Json::Null),
-                    ),
-            );
+        match &self.provenance {
+            Some(p) => v.with("segment", p.to_json()),
+            None => v,
         }
-        v = v.with(
+    }
+
+    /// Serializes the report for machine consumption.
+    pub fn to_json(&self) -> Json {
+        self.site_json().with(
             "recent",
             Json::Arr(
                 self.recent
@@ -165,8 +118,7 @@ impl DivergenceReport {
                     })
                     .collect(),
             ),
-        );
-        v
+        )
     }
 }
 

@@ -1,44 +1,30 @@
 //! Self-repair reporting: what the machine recovered from, and how.
 //!
-//! When [`SimConfig::self_repair`](crate::SimConfig) is enabled, a
-//! lockstep divergence (or a strict segment-verification failure at the
-//! fill boundary) is *contained* instead of fatal: the machine squashes
-//! its in-flight state, restores architectural state from the
-//! interpreter-verified retirement point, invalidates the offending
-//! trace-cache segment and resumes through the conventional fetch path.
-//! Every such containment is recorded as a [`RepairEvent`]; the run's
-//! [`RepairReport`] mirrors the structure of
-//! [`DivergenceReport`](crate::oracle::DivergenceReport) — same site
-//! fields, same provenance attribution — plus the escalation-ladder
-//! transitions the offense triggered and the ladder's final state.
+//! When [`SimConfig::self_repair`](crate::SimConfig) is enabled, the retire
+//! stage's one decision point contains every divergence instead of
+//! aborting. A lockstep divergence is contained by squashing the machine,
+//! restoring architectural state from the interpreter-verified retirement
+//! point, invalidating the offending trace-cache segment and resuming
+//! through the conventional fetch path; a segment strict verification
+//! rejected never reached the cache, so charging the ladder is its whole
+//! repair. Every containment is recorded as a [`RepairEvent`] holding the
+//! [`DivergenceReport`] it contained, plus the repair actions taken; the
+//! run's [`RepairReport`] adds the escalation ladder's final state.
 
-use crate::oracle::SegSource;
+use crate::oracle::DivergenceReport;
 use std::fmt;
 use tracefill_core::quarantine::Escalation;
 use tracefill_util::Json;
 
-/// One contained failure: the divergence site, the offending segment, and
-/// the repair actions taken.
+/// One contained failure: the divergence and the repair actions taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairEvent {
-    /// Cycle of the repair.
-    pub cycle: u64,
-    /// Retire sequence number of the diverging instruction.
-    pub seq: u64,
-    /// PC at the divergence site.
-    pub pc: u32,
-    /// What diverged (same vocabulary as
-    /// [`DivergenceReport::kind`](crate::oracle::DivergenceReport)).
-    pub kind: &'static str,
-    /// The oracle's expectation.
-    pub expected: String,
-    /// What the pipeline produced.
-    pub actual: String,
-    /// Provenance of the offending trace segment, when there was one.
-    pub provenance: Option<SegSource>,
+    /// The divergence that was contained.
+    pub site: DivergenceReport,
     /// Whether the offending segment was found (and removed) in the trace
-    /// cache. False when it had already been evicted, or when the
-    /// divergence had no trace-cache provenance.
+    /// cache. False when it had already been evicted, when it never
+    /// reached the cache, or when the divergence had no trace-cache
+    /// provenance.
     pub invalidated: bool,
     /// Ladder transitions this offense triggered, in pass order.
     pub escalations: Vec<Escalation>,
@@ -48,45 +34,25 @@ impl RepairEvent {
     /// Serializes the event (deterministic field order).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut v = Json::object()
-            .with("cycle", self.cycle)
-            .with("seq", self.seq)
-            .with("pc", u64::from(self.pc))
-            .with("kind", self.kind)
-            .with("expected", self.expected.as_str())
-            .with("actual", self.actual.as_str());
-        if let Some(p) = &self.provenance {
-            v = v.with(
-                "segment",
-                Json::object()
-                    .with("seg_id", p.seg_id)
-                    .with("start_pc", u64::from(p.start_pc))
-                    .with("len", p.len)
-                    .with(
-                        "passes",
-                        Json::Arr(p.passes.iter().map(|s| Json::from(*s)).collect()),
-                    )
-                    .with(
-                        "fault",
-                        p.fault.as_deref().map(Json::from).unwrap_or(Json::Null),
-                    ),
-            );
-        }
-        v.with("invalidated", self.invalidated).with(
-            "escalations",
-            Json::Arr(self.escalations.iter().map(Escalation::to_json).collect()),
-        )
+        self.site
+            .site_json()
+            .with("invalidated", self.invalidated)
+            .with(
+                "escalations",
+                Json::Arr(self.escalations.iter().map(Escalation::to_json).collect()),
+            )
     }
 }
 
 impl fmt::Display for RepairEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let site = &self.site;
         write!(
             f,
             "repaired {} at cycle {}, seq {}, pc {:#010x}",
-            self.kind, self.cycle, self.seq, self.pc
+            site.kind, site.cycle, site.seq, site.pc
         )?;
-        if let Some(p) = &self.provenance {
+        if let Some(p) = &site.provenance {
             write!(f, " [{p}]")?;
         }
         for e in &self.escalations {
@@ -138,22 +104,26 @@ impl RepairReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::SegSource;
 
     fn sample() -> RepairEvent {
         RepairEvent {
-            cycle: 321,
-            seq: 54,
-            pc: 0x40_0020,
-            kind: "register-effect",
-            expected: "$t0 = 0x5".to_string(),
-            actual: "$t0 = 0x6".to_string(),
-            provenance: Some(SegSource {
-                seg_id: 9,
-                start_pc: 0x40_0000,
-                len: 4,
-                passes: vec!["scadd"],
-                fault: None,
-            }),
+            site: DivergenceReport {
+                cycle: 321,
+                seq: 54,
+                pc: 0x40_0020,
+                kind: "register-effect",
+                expected: "$t0 = 0x5".to_string(),
+                actual: "$t0 = 0x6".to_string(),
+                recent: Vec::new(),
+                provenance: Some(SegSource {
+                    seg_id: 9,
+                    start_pc: 0x40_0000,
+                    len: 4,
+                    passes: vec!["scadd"],
+                    fault: None,
+                }),
+            },
             invalidated: true,
             escalations: vec![Escalation::Quarantined {
                 pass: "scadd",

@@ -1,9 +1,10 @@
 //! Retire stage: in-order completion, oracle lockstep checking, predictor
-//! and bias training, and feeding the fill unit.
+//! and bias training, feeding the fill unit, and the one decision point
+//! for every divergence either checker finds.
 
 use crate::machine::{SimError, Simulator};
 use crate::observe::Event;
-use crate::oracle::{DivergenceReport, RetireEcho, SegSource};
+use crate::oracle::{DivergenceReport, RetireEcho, SegSource, RING_DEPTH};
 use crate::repair::RepairEvent;
 use crate::tracelog::Event as Pipe;
 use tracefill_core::builder::FillInput;
@@ -12,14 +13,21 @@ use tracefill_isa::syscall;
 use tracefill_isa::ArchReg;
 use tracefill_isa::Op;
 
+/// How self-repair contains a divergence.
+enum Contain {
+    /// Strict verification rejected a segment of provenance class
+    /// `class`. It never reached the trace cache and architectural state
+    /// was never at risk, so charging the ladder is the whole repair.
+    Charge { class: &'static str },
+    /// The oracle, already stepped through retiring uop `id` (its record
+    /// is `oracle`), disagrees with it: squash, restore and resume.
+    Restore { id: u64, oracle: Retired },
+}
+
 impl Simulator {
-    /// Echoes the about-to-retire uop into the divergence ring buffer
-    /// (bounded by [`SimConfig::divergence_ring`](crate::SimConfig)), so a
-    /// later divergence report can show the trail that led to it.
+    /// Echoes the about-to-retire uop into the divergence ring buffer, so
+    /// a later divergence report can show the trail that led to it.
     fn echo_retire(&mut self, id: u64) {
-        if self.cfg.divergence_ring == 0 {
-            return;
-        }
         let u = &self.uops[id];
         let echo = RetireEcho {
             cycle: self.cycle,
@@ -29,45 +37,86 @@ impl Simulator {
             from_tc: u.from_tc,
             seg_id: u.seg.as_ref().map(|s| s.provenance.seg_id),
         };
-        if self.retire_ring.len() >= self.cfg.divergence_ring {
+        if self.retire_ring.len() >= RING_DEPTH {
             self.retire_ring.pop_front();
         }
         self.retire_ring.push_back(echo);
     }
 
-    /// Builds a structured divergence report for the retiring uop,
-    /// attributing it to the originating trace segment when there is one.
-    fn divergence_report(
+    /// A divergence report at `pc` for the current cycle and retire
+    /// sequence, carrying the recent-retirement ring.
+    fn site(
         &self,
-        id: u64,
+        pc: u32,
         kind: &'static str,
         expected: String,
         actual: String,
-    ) -> Box<DivergenceReport> {
-        let u = &self.uops[id];
-        Box::new(DivergenceReport {
+        provenance: Option<SegSource>,
+    ) -> DivergenceReport {
+        DivergenceReport {
             cycle: self.cycle,
             seq: self.stats.retired,
-            pc: u.pc,
+            pc,
             kind,
             expected,
             actual,
             recent: self.retire_ring.iter().cloned().collect(),
-            provenance: u.seg.as_deref().map(SegSource::of),
-        })
+            provenance,
+        }
     }
 
-    /// As [`divergence_report`](Self::divergence_report), wrapped as the
-    /// fatal error.
-    fn divergence(
+    /// A divergence report for retiring uop `id`, attributed to the trace
+    /// segment it came from, if any.
+    fn uop_site(
         &self,
         id: u64,
         kind: &'static str,
         expected: String,
         actual: String,
-    ) -> SimError {
-        SimError::Divergence(self.divergence_report(id, kind, expected, actual))
+    ) -> DivergenceReport {
+        let u = &self.uops[id];
+        let provenance = u.seg.as_deref().map(SegSource::of);
+        self.site(u.pc, kind, expected, actual, provenance)
     }
+
+    /// The one abort-or-contain decision for every divergence. Without
+    /// self-repair, `site` becomes the fatal error. With it, the
+    /// divergence is contained as `contain` says, the offense is charged
+    /// to the site's passes under the segment's provenance class, the
+    /// repair is recorded, and the run goes on.
+    fn diverge(&mut self, site: DivergenceReport, contain: Contain) -> Result<(), SimError> {
+        if !self.cfg.self_repair.enabled {
+            return Err(SimError::Divergence(Box::new(site)));
+        }
+        let passes = site.provenance.as_ref().map_or(&[][..], |p| &p.passes[..]);
+        let (invalidated, escalations) = match contain {
+            Contain::Charge { class } => (false, self.fill.record_offense(passes, class)),
+            Contain::Restore { id, oracle } => {
+                // Attribute and invalidate before the squash forgets the
+                // uop.
+                let seg = self.uops.get(id).and_then(|u| u.seg.clone());
+                let invalidated = seg.as_deref().is_some_and(|s| {
+                    let seg = s.provenance.seg_id;
+                    let removed = self.tcache.invalidate(s.start_pc, seg).is_some();
+                    if removed {
+                        self.observers.emit(self.cycle, Event::Invalidate { seg });
+                    }
+                    removed
+                });
+                let class = seg.as_deref().map_or("unknown", |s| s.end.name());
+                let escalations = self.fill.record_offense(passes, class);
+                self.restore(site.pc, &oracle);
+                (invalidated, escalations)
+            }
+        };
+        self.repairs.push(RepairEvent {
+            site,
+            invalidated,
+            escalations,
+        });
+        Ok(())
+    }
+
     /// Retire phase: up to `fetch_width` completed head-of-window uops.
     pub(crate) fn phase_retire(&mut self) -> Result<(), SimError> {
         for _ in 0..self.cfg.fetch_width {
@@ -137,46 +186,14 @@ impl Simulator {
         // divergence in its own right: an optimization pass broke the
         // segment, even if the (dropped) segment never misled fetch.
         if let Some(vf) = self.fill.take_verify_failure() {
-            if self.cfg.self_repair.enabled {
-                // The rejected segment never reached the cache, so the
-                // ladder charge *is* the repair: no squash, no restore —
-                // architectural state was never at risk.
-                let escalations = self.fill.record_offense(&vf.passes, vf.end);
-                self.repairs.push(RepairEvent {
-                    cycle: self.cycle,
-                    seq: self.stats.retired,
-                    pc: vf.start_pc,
-                    kind: "segment-verify",
-                    expected: "optimized segment equivalent to its original".to_string(),
-                    actual: vf.detail,
-                    provenance: Some(SegSource {
-                        seg_id: vf.seg_id,
-                        start_pc: vf.start_pc,
-                        len: vf.len,
-                        passes: vf.passes,
-                        fault: vf.fault,
-                    }),
-                    invalidated: false,
-                    escalations,
-                });
-                return Ok(());
-            }
-            return Err(SimError::Divergence(Box::new(DivergenceReport {
-                cycle: self.cycle,
-                seq: self.stats.retired,
-                pc: vf.start_pc,
-                kind: "segment-verify",
-                expected: "optimized segment equivalent to its original".to_string(),
-                actual: vf.detail,
-                recent: self.retire_ring.iter().cloned().collect(),
-                provenance: Some(SegSource {
-                    seg_id: vf.seg_id,
-                    start_pc: vf.start_pc,
-                    len: vf.len,
-                    passes: vf.passes,
-                    fault: vf.fault,
-                }),
-            })));
+            let site = self.site(
+                vf.seg.start_pc,
+                "segment-verify",
+                "optimized segment equivalent to its original".to_string(),
+                vf.detail,
+                Some(vf.seg),
+            );
+            return self.diverge(site, Contain::Charge { class: vf.end });
         }
         Ok(())
     }
@@ -185,19 +202,9 @@ impl Simulator {
     fn retire_one(&mut self, id: u64) -> Result<(), SimError> {
         self.echo_retire(id);
         // Oracle lockstep first: any divergence is a simulator bug or an
-        // injected fault — fatal, unless self-repair contains it.
-        if self.cfg.oracle_check {
-            let (r, div) = self.check_against_oracle(id)?;
-            if let Some(report) = div {
-                if self.cfg.self_repair.enabled {
-                    self.contain_divergence(id, *report, &r);
-                    return Ok(());
-                }
-                return Err(SimError::Divergence(report));
-            }
-        } else {
-            // Still step the oracle to keep lockstep for later checks.
-            self.oracle.step().map_err(SimError::Oracle)?;
+        // injected fault.
+        if let Some((site, oracle)) = self.lockstep(id)? {
+            return self.diverge(site, Contain::Restore { id, oracle });
         }
 
         let u = self.uops.get(id).expect("retiring uop exists");
@@ -209,7 +216,6 @@ impl Simulator {
         let pred_taken = u.branch.as_ref().and_then(|b| b.pred_taken);
         let pred_target = u.branch.as_ref().and_then(|b| b.pred_target);
         let prediction = u.branch.as_ref().and_then(|b| b.prediction);
-        let prev_phys = u.prev_phys;
         let store = u
             .mem
             .as_ref()
@@ -225,7 +231,6 @@ impl Simulator {
         self.stats.retired_from_tc += u.from_tc as u64;
         self.stats.fu_executed += u.fu_executed as u64;
         self.stats.bypass_delayed += u.bypass_delayed as u64;
-        let seg = u.tc_seg();
 
         // Commit stores to memory.
         if let Some((addr, size, value)) = store {
@@ -272,27 +277,7 @@ impl Simulator {
             self.cycle,
         );
 
-        // Release source holds and the displaced mapping, drop
-        // checkpoints/shadows owned by this uop, and leave the window.
-        let srcs = self.uops[id].srcs;
-        for p in srcs.into_iter().flatten() {
-            self.phys.release(p);
-        }
-        if let Some(prev) = prev_phys {
-            self.phys.release(prev);
-        }
-        self.checkpoints.retain(|c| c.branch != id);
-        self.drop_shadow(id);
-        if self.stores.front() == Some(&id) {
-            self.stores.pop_front();
-        }
-        self.observers.emit(
-            self.cycle,
-            Event::Pipeline(Pipe::Retire { uop: id, pc, seg }),
-        );
-        self.window.pop_front();
-        self.uops.remove(id);
-        self.last_retire_cycle = self.cycle;
+        self.leave_window(id);
         Ok(())
     }
 
@@ -311,9 +296,7 @@ impl Simulator {
         let pc = u.pc;
         let op = u.op;
         let dest = u.dest;
-        let prev_phys = u.prev_phys;
         let from_tc = u.from_tc;
-        let seg = u.tc_seg();
         let instr = u.instr;
 
         if op == Op::Syscall {
@@ -329,12 +312,13 @@ impl Simulator {
                     }
                 }
                 Err(e) => {
-                    return Err(self.divergence(
+                    // A bad program, not a machine fault: always fatal.
+                    return Err(SimError::Divergence(Box::new(self.uop_site(
                         id,
                         "syscall",
                         "a recognized syscall service".to_string(),
                         format!("unknown syscall at {pc:#x}: {e}"),
-                    ))
+                    ))));
                 }
             }
         } else {
@@ -344,37 +328,8 @@ impl Simulator {
         // Oracle lockstep. The syscall already executed against the
         // pipeline's I/O above; on divergence, containment re-adopts the
         // oracle's I/O and halt state wholesale.
-        if self.cfg.oracle_check {
-            let r = self.oracle.step().map_err(SimError::Oracle)?;
-            let mut div: Option<Box<DivergenceReport>> = None;
-            if r.pc != pc || r.instr != instr {
-                div = Some(self.divergence_report(
-                    id,
-                    "stream",
-                    format!("{:#010x} `{}`", r.pc, r.instr),
-                    format!("{pc:#010x} `{instr}`"),
-                ));
-            } else if let Some((reg, val)) = r.reg_write {
-                let p = self.rat[reg.index()];
-                let got = self.phys.value(p);
-                if got != val {
-                    div = Some(self.divergence_report(
-                        id,
-                        "syscall",
-                        format!("{reg} = {val:#x}"),
-                        format!("{reg} = {got:#x}"),
-                    ));
-                }
-            }
-            if let Some(report) = div {
-                if self.cfg.self_repair.enabled {
-                    self.contain_divergence(id, *report, &r);
-                    return Ok(());
-                }
-                return Err(SimError::Divergence(report));
-            }
-        } else {
-            self.oracle.step().map_err(SimError::Oracle)?;
+        if let Some((site, oracle)) = self.lockstep(id)? {
+            return self.diverge(site, Contain::Restore { id, oracle });
         }
 
         self.stats.retired += 1;
@@ -391,12 +346,29 @@ impl Simulator {
             self.cycle,
         );
 
-        let srcs = self.uops[id].srcs;
+        self.leave_window(id);
+        self.serialize = None;
+        self.fetch_pc = pc.wrapping_add(4);
+        self.fetch_stall_until = 0;
+        Ok(())
+    }
+
+    /// The end of every retirement: releases the uop's source holds and
+    /// the mapping it displaced, drops the checkpoint and shadow it owns,
+    /// and takes it off the store queue, the window and the uop table.
+    fn leave_window(&mut self, id: u64) {
+        let u = &self.uops[id];
+        let (pc, seg, srcs, prev_phys) = (u.pc, u.tc_seg(), u.srcs, u.prev_phys);
         for p in srcs.into_iter().flatten() {
             self.phys.release(p);
         }
         if let Some(prev) = prev_phys {
             self.phys.release(prev);
+        }
+        self.checkpoints.retain(|c| c.branch != id);
+        self.drop_shadow(id);
+        if self.stores.front() == Some(&id) {
+            self.stores.pop_front();
         }
         self.observers.emit(
             self.cycle,
@@ -404,46 +376,55 @@ impl Simulator {
         );
         self.window.pop_front();
         self.uops.remove(id);
-        self.serialize = None;
-        self.fetch_pc = pc.wrapping_add(4);
-        self.fetch_stall_until = 0;
         self.last_retire_cycle = self.cycle;
-        Ok(())
     }
 
-    /// Compares the retiring uop's architectural effects against the
-    /// functional oracle.
-    ///
-    /// Steps the oracle through the instruction and returns its retirement
-    /// record plus the first mismatch, if any, as a structured report —
-    /// the caller decides whether the divergence is fatal or contained by
-    /// self-repair. An oracle fault (bad program) is always fatal.
-    #[allow(clippy::type_complexity)]
-    fn check_against_oracle(
-        &mut self,
-        id: u64,
-    ) -> Result<(Retired, Option<Box<DivergenceReport>>), SimError> {
+    /// Steps the oracle through retiring uop `id` and, when the oracle
+    /// check is on, compares the uop's architectural effects with it. Returns the first mismatch, with the oracle's record, for
+    /// [`diverge`](Self::diverge) to decide. An oracle fault (bad program)
+    /// is always fatal.
+    fn lockstep(&mut self, id: u64) -> Result<Option<(DivergenceReport, Retired)>, SimError> {
         let r = self.oracle.step().map_err(SimError::Oracle)?;
+        if !self.cfg.oracle_check {
+            return Ok(None);
+        }
+        Ok(self.compare(id, &r).map(|site| (site, r)))
+    }
+
+    /// The first way retiring uop `id` disagrees with the oracle's record
+    /// `r`, if any. A system op's one checked effect is the syscall
+    /// result, read through the rename table.
+    fn compare(&self, id: u64, r: &Retired) -> Option<DivergenceReport> {
         let u = &self.uops[id];
         if r.pc != u.pc || r.instr != u.instr {
-            let report = self.divergence_report(
+            return Some(self.uop_site(
                 id,
                 "stream",
                 format!("{:#010x} `{}`", r.pc, r.instr),
                 format!("{:#010x} `{}`", u.pc, u.instr),
-            );
-            return Ok((r, Some(report)));
+            ));
+        }
+        if u.is_system() {
+            let (reg, val) = r.reg_write?;
+            let got = self.phys.value(self.rat[reg.index()]);
+            return (got != val).then(|| {
+                self.uop_site(
+                    id,
+                    "syscall",
+                    format!("{reg} = {val:#x}"),
+                    format!("{reg} = {got:#x}"),
+                )
+            });
         }
         // Register write.
         let sim_write = u.dest.map(|(reg, p)| (reg, self.phys.value(p)));
         if sim_write != r.reg_write {
-            let report = self.divergence_report(
+            return Some(self.uop_site(
                 id,
                 "register-effect",
                 fmt_write(r.reg_write),
                 fmt_write(sim_write),
-            );
-            return Ok((r, Some(report)));
+            ));
         }
         // Store effect.
         let sim_store = u
@@ -452,30 +433,28 @@ impl Simulator {
             .filter(|m| !m.is_load)
             .map(|m| (m.addr.unwrap_or(0), m.size, m.value));
         if sim_store != r.store {
-            let report = self.divergence_report(
+            return Some(self.uop_site(
                 id,
                 "store-effect",
                 fmt_store(r.store),
                 fmt_store(sim_store),
-            );
-            return Ok((r, Some(report)));
+            ));
         }
         // Branch direction.
         let sim_taken = u.branch.as_ref().and_then(|b| b.actual_taken);
         if u.op.is_cond_branch() && sim_taken != r.taken {
-            let report = self.divergence_report(
+            return Some(self.uop_site(
                 id,
                 "branch-direction",
                 format!("{:?}", r.taken),
                 format!("{sim_taken:?}"),
-            );
-            return Ok((r, Some(report)));
+            ));
         }
         // Control flow of indirect jumps.
         if u.op.is_indirect() {
             let sim_next = u.branch.as_ref().and_then(|b| b.actual_next);
             if sim_next != Some(r.next_pc) {
-                let report = self.divergence_report(
+                return Some(self.uop_site(
                     id,
                     "indirect-target",
                     format!("next pc {:#010x}", r.next_pc),
@@ -483,47 +462,24 @@ impl Simulator {
                         Some(n) => format!("next pc {n:#010x}"),
                         None => "unresolved".to_string(),
                     },
-                );
-                return Ok((r, Some(report)));
+                ));
             }
         }
-        Ok((r, None))
+        None
     }
 
-    /// Contains a lockstep divergence under self-repair.
-    ///
-    /// The oracle has already executed the diverging instruction; nothing
-    /// of it was committed by the pipeline. Containment charges the
-    /// offense to the offending segment's passes, invalidates that
-    /// segment in the trace cache, squashes the entire machine, adopts
-    /// the oracle's architectural state (registers, the instruction's
-    /// store, I/O and halt), and resumes through the conventional fetch
-    /// path. The retire sequence strictly advances, so repair always
-    /// makes forward progress.
-    fn contain_divergence(&mut self, id: u64, report: DivergenceReport, r: &Retired) {
-        // Attribute and invalidate before the squash forgets the uop.
-        let seg = self.uops.get(id).and_then(|u| u.seg.clone());
-        let (passes, class) = match seg.as_deref() {
-            Some(s) => (s.provenance.passes(), s.end.name()),
-            None => (Vec::new(), "unknown"),
-        };
-        let invalidated = match seg.as_deref() {
-            Some(s) => {
-                let seg = s.provenance.seg_id;
-                let removed = self.tcache.invalidate(s.start_pc, seg).is_some();
-                if removed {
-                    self.observers.emit(self.cycle, Event::Invalidate { seg });
-                }
-                removed
-            }
-            None => false,
-        };
-        let escalations = self.fill.record_offense(&passes, class);
-
-        // Containment proper.
+    /// Contains a lockstep divergence at `pc` once the oracle has stepped
+    /// through it (its record is `oracle`); nothing of the instruction was
+    /// committed by the pipeline. Squashes the entire machine, adopts the
+    /// oracle's architectural state (registers, the instruction's store,
+    /// I/O and halt), retires the instruction with the oracle's effects
+    /// and resumes through the conventional fetch path. The retire
+    /// sequence strictly advances, so repair always makes forward
+    /// progress.
+    fn restore(&mut self, pc: u32, oracle: &Retired) {
         self.cpi_flags.recovered = true;
         self.repair_squash();
-        if let Some((addr, size, value)) = r.store {
+        if let Some((addr, size, value)) = oracle.store {
             self.mem.write_sized(addr, size, value);
         }
         self.io = self.oracle.io().clone();
@@ -539,27 +495,16 @@ impl Simulator {
         self.fill.flush_partial();
 
         // Resume down the conventional path at the oracle's next PC.
-        self.fetch_pc = r.next_pc;
+        self.fetch_pc = oracle.next_pc;
         self.fetch_stall_until = 0;
         self.last_fetch_tc = false;
         self.observers.emit(
             self.cycle,
             Event::Pipeline(Pipe::Repair {
-                pc: report.pc,
-                redirect: r.next_pc,
+                pc,
+                redirect: oracle.next_pc,
             }),
         );
-        self.repairs.push(RepairEvent {
-            cycle: report.cycle,
-            seq: report.seq,
-            pc: report.pc,
-            kind: report.kind,
-            expected: report.expected,
-            actual: report.actual,
-            provenance: report.provenance,
-            invalidated,
-            escalations,
-        });
     }
 }
 
@@ -576,5 +521,122 @@ fn fmt_store(s: Option<(u32, u32, u32)>) -> String {
     match s {
         Some((addr, size, value)) => format!("[{addr:#010x}] <- {value:#x} ({size}B)"),
         None => "no store".to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RepairConfig, SimConfig};
+    use tracefill_core::config::PassMask;
+    use tracefill_core::quarantine::Escalation;
+    use tracefill_core::{OptConfig, QuarantineConfig};
+    use tracefill_isa::asm::assemble;
+    use tracefill_isa::interp::Interp;
+    use tracefill_isa::Program;
+
+    fn program() -> Program {
+        assemble(
+            "        .text
+main:   li   $s0, 200
+loop:   andi $t0, $s0, 3
+        add  $s1, $s1, $t0
+        addi $s0, $s0, -1
+        bgtz $s0, loop
+        move $a0, $s1
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+",
+        )
+        .unwrap()
+    }
+
+    /// A machine run far enough to fill the retirement ring, with a
+    /// threshold-1 ladder when self-repair is on.
+    fn warmed(self_repair: bool) -> Simulator {
+        let mut cfg = SimConfig::with_opts(OptConfig::all());
+        cfg.self_repair = RepairConfig {
+            enabled: self_repair,
+            ladder: QuarantineConfig {
+                quarantine_after: 1,
+                disable_after: 100,
+            },
+        };
+        let mut sim = Simulator::new(&program(), cfg);
+        sim.run_instrs(100).unwrap();
+        sim
+    }
+
+    /// Strict verification rejecting a segment two passes rewrote.
+    fn rejected_site(sim: &Simulator) -> DivergenceReport {
+        let site = sim.site(
+            0x40_0004,
+            "segment-verify",
+            "optimized segment equivalent to its original".to_string(),
+            "slot 1 reads a clobbered source".to_string(),
+            Some(SegSource {
+                seg_id: 3,
+                start_pc: 0x40_0004,
+                len: 4,
+                passes: vec!["moves", "reassoc"],
+                fault: None,
+            }),
+        );
+        assert_eq!(site.recent.len(), RING_DEPTH, "the ring is full");
+        assert_eq!(
+            site.recent.last().map(|e| e.seq + 1),
+            Some(sim.stats.retired)
+        );
+        site
+    }
+
+    #[test]
+    fn a_rejected_segment_is_fatal_without_self_repair() {
+        let mut sim = warmed(false);
+        let site = rejected_site(&sim);
+        let err = sim
+            .diverge(site.clone(), Contain::Charge { class: "loop" })
+            .expect_err("fatal without self-repair");
+        let rep = err.divergence().expect("a structured divergence");
+        assert_eq!(rep.kind, "segment-verify");
+        assert_eq!(rep, &site, "the ring and the provenance ride along");
+        assert!(sim.repairs().is_empty());
+    }
+
+    #[test]
+    fn a_rejected_segment_charges_the_ladder_and_the_run_goes_on() {
+        let mut sim = warmed(true);
+        let site = rejected_site(&sim);
+        sim.diverge(site.clone(), Contain::Charge { class: "loop" })
+            .expect("contained under self-repair");
+        let [ev] = sim.repairs() else {
+            panic!("one repair event, got {:?}", sim.repairs());
+        };
+        assert_eq!(ev.site, site);
+        assert!(!ev.invalidated, "the segment never reached the cache");
+        let quarantined = |pass| Escalation::Quarantined {
+            pass,
+            class: "loop",
+        };
+        assert_eq!(
+            ev.escalations,
+            vec![quarantined("moves"), quarantined("reassoc")]
+        );
+        let ladder = sim.fill.quarantine().expect("armed");
+        assert_eq!(ladder.offenses(), 2);
+        assert_eq!(
+            ladder.blocked_for("loop"),
+            PassMask::MOVES.union(PassMask::REASSOC)
+        );
+
+        // The run goes on, to the interpreter's end state.
+        let mut oracle = Interp::new(&program());
+        let halt = oracle.run(1_000_000).unwrap();
+        sim.run(1_000_000).expect("the run goes on");
+        assert_eq!(sim.halted(), Some(halt));
+        assert_eq!(sim.io().output, oracle.io().output);
+        assert_eq!(sim.repairs().len(), 1, "nothing else diverged");
     }
 }

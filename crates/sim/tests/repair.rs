@@ -128,8 +128,9 @@ fn self_repair_contains_what_the_fatal_path_reports() {
         "the contained failure is recorded"
     );
     let ev = &sim.repairs()[0];
-    assert!(ev.cycle > 0 && !ev.expected.is_empty() && !ev.actual.is_empty());
+    assert!(ev.site.cycle > 0 && !ev.site.expected.is_empty() && !ev.site.actual.is_empty());
     let src = ev
+        .site
         .provenance
         .as_ref()
         .expect("the event names the offending segment");
@@ -147,17 +148,18 @@ fn self_repair_contains_what_the_fatal_path_reports() {
 fn first_attributed_offense_climbs_the_ladder() {
     let prog = generate(&PatternMix::default(), 24, 200, 11).unwrap();
     let mut cfg = repair_cfg(OptConfig::all(), 5);
-    cfg.self_repair.quarantine_after = 1;
-    cfg.self_repair.disable_after = 2;
+    cfg.self_repair.ladder.quarantine_after = 1;
+    cfg.self_repair.ladder.disable_after = 2;
     let mut sim = Simulator::new(&prog, cfg);
     sim.run(50_000_000).expect("contained");
     // The first repair whose segment was touched by real passes must
     // quarantine every one of them (threshold 1).
-    if let Some(ev) = sim
-        .repairs()
-        .iter()
-        .find(|e| e.provenance.as_ref().is_some_and(|p| !p.passes.is_empty()))
-    {
+    if let Some(ev) = sim.repairs().iter().find(|e| {
+        e.site
+            .provenance
+            .as_ref()
+            .is_some_and(|p| !p.passes.is_empty())
+    }) {
         assert!(
             !ev.escalations.is_empty(),
             "threshold-1 ladder must escalate on the first attributed offense: {ev}"

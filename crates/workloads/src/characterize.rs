@@ -76,12 +76,6 @@ pub fn characterize_after(program: &Program, warmup: u64, max_instrs: u64) -> Ch
     let mut skipped = 0u64;
     let mut counts = opt::OptCounts::default();
 
-    let finalize = |builder: &mut SegmentBuilder, end: SegEnd, counts: &mut opt::OptCounts| {
-        if let Some(mut seg) = builder.finalize(end) {
-            counts.add(opt::apply_all(&mut seg, &opts, &clusters));
-        }
-    };
-
     while instrs < max_instrs {
         let r = interp.step().expect("characterized program must not fault");
         if r.halt.is_some() {
@@ -103,15 +97,13 @@ pub fn characterize_after(program: &Program, warmup: u64, max_instrs: u64) -> Ch
             promoted: None,
             fetch_miss_head: false,
         };
-        if !builder.can_accept(&input, &cfg) {
-            finalize(&mut builder, SegEnd::Full, &mut counts);
-        }
-        builder.push(input);
-        if let Some(end) = builder.must_terminate_after(&input, &cfg) {
-            finalize(&mut builder, end, &mut counts);
+        for mut seg in builder.offer(input, &cfg) {
+            counts.add(opt::apply_all(&mut seg, &opts, &clusters));
         }
     }
-    finalize(&mut builder, SegEnd::Flushed, &mut counts);
+    if let Some(mut seg) = builder.finalize(SegEnd::Flushed) {
+        counts.add(opt::apply_all(&mut seg, &opts, &clusters));
+    }
 
     let n = instrs.max(1) as f64;
     Characteristics {

@@ -107,6 +107,17 @@ fn verify_and_suite_match_goldens() {
         &["verify", "--opts", "none:all", "--budget", "2000"],
     );
     assert_golden("suite.txt", &["suite", "--opts", "all", "--budget", "2000"]);
+    // Each pass alone: the per-pass IPC behind Figs 3-6.
+    assert_golden(
+        "suite-passes.txt",
+        &[
+            "suite",
+            "--opts",
+            "moves:reassoc:scadd:placement",
+            "--budget",
+            "2000",
+        ],
+    );
 }
 
 /// The observers' exports on the smoke program: every trace kind (fetch,

@@ -43,6 +43,18 @@ impl Default for LatencyConfig {
 }
 
 impl LatencyConfig {
+    /// Every field with its name.
+    pub(crate) fn fields(&self) -> [(&'static str, u32); 6] {
+        [
+            ("int_alu", self.int_alu),
+            ("shift", self.shift),
+            ("mul", self.mul),
+            ("div", self.div),
+            ("branch", self.branch),
+            ("agen", self.agen),
+        ]
+    }
+
     /// Latency of a non-memory operation class.
     pub fn of(&self, kind: OpKind) -> u32 {
         match kind {

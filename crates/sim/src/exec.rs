@@ -1,6 +1,14 @@
 //! Schedule/execute stage: per-FU selection, the conservative memory
 //! scheduler, value computation, and the completion phase that resolves
 //! branches.
+//!
+//! Nothing here polls the reservation stations. Select reads each
+//! functional unit's ready set, which [`crate::sched`] fills on the
+//! events that make a uop ready: its last operand's producer executing,
+//! a parked load's deciding store getting its address, completing or
+//! retiring, and a shadow's activation. Address generation walks only
+//! the stores still waiting for an address, and completions come off a
+//! ring of per-cycle buckets.
 
 use crate::machine::Simulator;
 use crate::observe::Event;
@@ -17,8 +25,9 @@ enum LoadAction {
     Forward(u32),
     /// Access the data cache.
     Memory,
-    /// Not yet: an older store blocks it.
-    Blocked,
+    /// Not yet: this older store blocks it (the oldest one with an
+    /// unknown address, else the youngest overlapping one).
+    Blocked(UopId),
 }
 
 impl Simulator {
@@ -26,12 +35,13 @@ impl Simulator {
     /// branches resolve (oldest first, so an older recovery squashes the
     /// younger completions before they act).
     pub(crate) fn phase_complete(&mut self) {
-        let Some(ids) = self.completions.remove(&self.cycle) else {
-            return;
-        };
-        let mut ids = ids;
+        let now = self.cycle;
+        let mut ids = std::mem::take(&mut self.sched.due);
+        while let Some(id) = self.sched.completions.pop(now) {
+            ids.push(id);
+        }
         ids.sort_unstable();
-        for id in ids {
+        for &id in &ids {
             // The uop may have been squashed since it started executing.
             let Some(u) = self.uops.get_mut(id) else {
                 continue;
@@ -41,9 +51,14 @@ impl Simulator {
             }
             u.state = UopState::Done;
             let is_branch = u.branch.is_some() && (u.op.is_cond_branch() || u.op.is_indirect());
+            let is_store = u.mem.is_some_and(|m| !m.is_load);
             let inactive = u.inactive;
             self.observers
                 .emit(self.cycle, Event::Pipeline(Pipe::Complete { uop: id }));
+            if is_store {
+                // Loads waiting for this store's data may forward it now.
+                self.wake_parked(id);
+            }
             if is_branch {
                 if let Some(b) = self.uops.get_mut(id).and_then(|u| u.branch.as_mut()) {
                     b.resolved = true;
@@ -55,6 +70,8 @@ impl Simulator {
                 // acts on it.
             }
         }
+        ids.clear();
+        self.sched.due = ids;
     }
 
     /// Acts on a resolved active branch: recovery, shadow activation or
@@ -96,34 +113,32 @@ impl Simulator {
     /// Execute phase: address pre-generation for stores, then per-FU
     /// select-and-execute of the oldest ready uop.
     pub(crate) fn phase_execute(&mut self) {
+        self.drain_wakes();
         // Stores publish their addresses as soon as the base register is
         // available (a dedicated AGEN port, as in machines that split
         // stores into address and data uops). The conservative scheduler
         // ("no memory operation bypasses a store with an unknown address")
         // depends on addresses appearing promptly.
         let now = self.cycle;
-        for i in 0..self.stores.len() {
-            let id = self.stores[i];
+        let mut i = 0;
+        while let Some(&id) = self.sched.unaddressed.get(i) {
             let u = &self.uops[id];
-            if u.mem.as_ref().is_some_and(|m| m.addr.is_some()) {
+            let cluster = self.cluster_of(u.fu);
+            if u.srcs[0].is_some_and(|p| self.phys.avail_at(p, cluster) > now) {
+                i += 1;
                 continue;
             }
-            let cluster = self.cluster_of(u.fu);
-            let base_ok = u.srcs[0]
-                .map(|p| self.phys.avail_at(p, cluster) <= now)
-                .unwrap_or(true);
-            if base_ok {
-                let base = u.srcs[0].map(|p| self.phys.value(p)).unwrap_or(0);
-                let base = self.apply_scadd(u, 0, base);
-                let addr = effective_addr(u.op, base, 0, u.imm);
-                let m = self.uops.get_mut(id).and_then(|u| u.mem.as_mut());
-                m.expect("queued store has memory state").addr = Some(addr);
-            }
+            let base = u.srcs[0].map(|p| self.phys.value(p)).unwrap_or(0);
+            let base = self.apply_scadd(u, 0, base);
+            let addr = effective_addr(u.op, base, 0, u.imm);
+            let m = self.uops.get_mut(id).and_then(|u| u.mem.as_mut());
+            m.expect("queued store has memory state").addr = Some(addr);
+            self.sched.unaddressed.remove(i);
+            self.wake_parked(id);
         }
 
-        for fu in 0..self.rs.len() {
-            if let Some((pos, load)) = self.select(fu) {
-                let id = self.rs[fu].remove(pos);
+        for fu in 0..self.cfg.num_fus() {
+            if let Some((id, load)) = self.select(fu) {
                 self.execute_uop(id, load);
             }
         }
@@ -141,36 +156,21 @@ impl Simulator {
         }
     }
 
-    /// Selects the oldest ready entry of `fu`'s reservation station:
-    /// its position, and for a load the memory scheduler's verdict.
-    /// Stations hold ids in ascending order, so the first ready entry is
-    /// the oldest.
-    fn select(&self, fu: usize) -> Option<(usize, Option<LoadAction>)> {
-        for (pos, &id) in self.rs[fu].iter().enumerate() {
-            let Some(u) = self.uops.get(id) else {
-                continue;
-            };
-            if u.state != UopState::Waiting || u.mem_deferred || !self.srcs_ready(u) {
-                continue;
-            }
-            if !u.mem.as_ref().is_some_and(|m| m.is_load) {
-                return Some((pos, None));
+    /// Removes the oldest eligible uop from `fu`'s ready set and returns
+    /// it, with the memory scheduler's verdict for a load. Loads the
+    /// scheduler blocks are parked on the way.
+    fn select(&mut self, fu: usize) -> Option<(UopId, Option<LoadAction>)> {
+        while let Some(id) = self.sched.oldest_ready(fu) {
+            let u = &self.uops[id];
+            if !u.mem.is_some_and(|m| m.is_load) {
+                return Some((self.sched.take_oldest(fu), None));
             }
             match self.load_action(u) {
-                LoadAction::Blocked => continue,
-                verdict => return Some((pos, Some(verdict))),
+                LoadAction::Blocked(store) => self.sched.park_oldest(fu, store),
+                verdict => return Some((self.sched.take_oldest(fu), Some(verdict))),
             }
         }
         None
-    }
-
-    /// Whether all operands are available at the uop's cluster this cycle.
-    fn srcs_ready(&self, u: &Uop) -> bool {
-        let cluster = self.cluster_of(u.fu);
-        u.srcs
-            .iter()
-            .flatten()
-            .all(|&p| self.phys.avail_at(p, cluster) <= self.cycle)
     }
 
     /// The scaled-add shift, applied to operand `k`'s value if annotated.
@@ -202,7 +202,7 @@ impl Simulator {
             let om = o.mem.as_ref().expect("queued store has memory state");
             let Some(oaddr) = om.addr else {
                 // Unknown older store address blocks every younger access.
-                return LoadAction::Blocked;
+                return LoadAction::Blocked(store);
             };
             let olo = oaddr;
             let ohi = oaddr.wrapping_add(om.size);
@@ -215,12 +215,12 @@ impl Simulator {
                     verdict = LoadAction::Forward(om.value);
                 } else {
                     // Exact match but data not captured yet.
-                    verdict = LoadAction::Blocked;
+                    verdict = LoadAction::Blocked(store);
                 }
             } else {
                 // Partial overlap: wait until the store retires (it will
                 // then have left the store queue).
-                verdict = LoadAction::Blocked;
+                verdict = LoadAction::Blocked(store);
             }
         }
         verdict
@@ -293,7 +293,7 @@ impl Simulator {
                         let lat = self.hier.access(Side::Data, addr);
                         (self.mem.read_sized(addr, u.mem.as_ref().unwrap().size), lat)
                     }
-                    LoadAction::Blocked => unreachable!("select checked eligibility"),
+                    LoadAction::Blocked(_) => unreachable!("select parks blocked loads"),
                 };
                 let v = extend_load(op, raw);
                 value = Some(v);
@@ -329,8 +329,9 @@ impl Simulator {
         let aliased = u.aliased;
         if let (Some((_, p)), Some(v), false) = (dest, value, aliased) {
             self.phys.write(p, v, done, cluster);
+            self.wake_waiters(p);
         }
-        self.completions.entry(done).or_default().push(id);
+        self.sched.completions.push(done, id);
         self.observers
             .emit(now, Event::Pipeline(Pipe::Execute { uop: id, done }));
     }

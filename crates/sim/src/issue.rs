@@ -70,7 +70,7 @@ impl Simulator {
             let needs_rs = !slot.is_move
                 && !matches!(slot.op.kind(), OpKind::System)
                 && !matches!(slot.op, Op::J | Op::Jal);
-            if needs_rs && self.rs[slot.fu as usize].len() >= self.cfg.rs_per_fu {
+            if needs_rs && self.sched.occupancy(slot.fu) >= self.cfg.rs_per_fu {
                 self.cpi_flags.issue_backpressure = true;
                 return;
             }
@@ -142,7 +142,7 @@ impl Simulator {
             rat[d.index()] = p;
             dest = Some((d, p));
         } else if let Some(d) = slot.dest {
-            let p = self.phys.alloc();
+            let p = self.alloc_phys();
             let rat = self.current_rat_mut(in_shadow);
             prev_phys = Some(rat[d.index()]);
             rat[d.index()] = p;
@@ -151,7 +151,7 @@ impl Simulator {
             // A syscall may write `$v0` (READ_INT); rename it so move
             // aliases of the old mapping keep their value.
             let d = tracefill_isa::ArchReg::V0;
-            let p = self.phys.alloc();
+            let p = self.alloc_phys();
             let rat = self.current_rat_mut(in_shadow);
             prev_phys = Some(rat[d.index()]);
             rat[d.index()] = p;
@@ -164,14 +164,14 @@ impl Simulator {
             state = UopState::Done;
             if matches!(slot.op, Op::Jal) {
                 let (_, p) = dest.expect("jal writes $ra");
-                self.phys.write_arch(p, slot.pc.wrapping_add(4));
+                self.publish_arch(p, slot.pc.wrapping_add(4));
             }
         }
         // Jalr's link value is also deterministic; only its target needs
         // execution.
         if slot.op == Op::Jalr {
             if let Some((_, p)) = dest {
-                self.phys.write_arch(p, slot.pc.wrapping_add(4));
+                self.publish_arch(p, slot.pc.wrapping_add(4));
             }
         }
 
@@ -228,8 +228,8 @@ impl Simulator {
             let meta = slot.branch.as_ref().expect("branch slot carries metadata");
             let ckpt_id = self.next_ckpt_id;
             self.next_ckpt_id += 1;
-            debug_assert!(self.checkpoints.last().is_none_or(|c| c.branch < id));
-            self.checkpoints.push(Checkpoint {
+            debug_assert!(self.checkpoints.back().is_none_or(|c| c.branch < id));
+            self.checkpoints.push_back(Checkpoint {
                 id: ckpt_id,
                 branch: id,
                 rat: self.rat,
@@ -248,16 +248,13 @@ impl Simulator {
             self.serialize = Some(id);
         }
 
-        // Dispatch.
+        // Store queue (the station entry is made below, once the uop is
+        // in the table).
         let needs_rs = !uop.is_move && !uop.is_system() && !matches!(uop.op, Op::J | Op::Jal);
-        if needs_rs {
-            let rs = &mut self.rs[uop.fu as usize];
-            debug_assert!(rs.last().is_none_or(|&b| b < id));
-            rs.push(id);
-        }
         if uop.mem.is_some_and(|m| !m.is_load) && !in_shadow {
             debug_assert!(self.stores.back().is_none_or(|&b| b < id));
             self.stores.push_back(id);
+            self.sched.unaddressed.push(id);
         }
 
         // Bookkeeping: window (active) or shadow.
@@ -292,6 +289,10 @@ impl Simulator {
                     branch_snaps: Vec::new(),
                 });
             }
+        }
+
+        if needs_rs {
+            self.dispatch(id);
         }
 
         // Record this slot's result location for later internal refs.

@@ -75,6 +75,7 @@ pub mod physreg;
 mod recover;
 pub mod repair;
 mod retire;
+mod sched;
 pub mod stats;
 pub mod tracelog;
 pub mod uop;

@@ -20,15 +20,31 @@
 //!
 //! Uop ids come from one counter that only grows, and every structure
 //! that names uops keeps them in ascending id order, which is program
-//! order: the window, each reservation station, the store queue and the
-//! checkpoint list. Issue appends in id order. Shadow activation appends
-//! the shadow's uops only after `squash_younger` has removed everything
-//! younger than the anchor, so every id it appends is past the back.
-//! Removal keeps the order. The uop table, select, the memory scheduler
-//! and the window-position search rely on this: the oldest ready entry
-//! of a station is its first ready one, a load's older stores are the
-//! queue's prefix below its id, and `window_pos` is a binary search.
-//! Every append asserts the order in debug builds.
+//! order: the window, each functional unit's ready set, the store queue
+//! and its list of stores without an address, and the checkpoint list.
+//! Issue appends in id order. Shadow activation appends the shadow's
+//! uops only after `squash_younger` has removed everything younger than
+//! the anchor, so every id it appends is past the back. Removal keeps
+//! the order. The uop table, select, the memory scheduler, retirement
+//! and the window-position search rely on this: the oldest ready uop of
+//! a functional unit is the first entry of its ready set, a load's older
+//! stores are the queue's prefix below its id, a retiring uop's
+//! checkpoint is the front one, and `window_pos` and checkpoint lookup
+//! are binary searches. Every append asserts the order in debug builds.
+//!
+//! # Scheduling
+//!
+//! Execute does not poll the reservation stations. The `sched` module
+//! files a waiting uop under the physical registers it still lacks and,
+//! when the last producer executes, puts it on a wake ring at its ready
+//! cycle (the largest per-cluster `avail_at` of its sources); each
+//! cycle's bucket joins the per-FU ready sets just before select. A load
+//! the memory scheduler blocks is parked on the deciding store and comes
+//! back when that store gets its address, completes or retires.
+//! Completions come off a ring of per-cycle buckets sized from the
+//! longest latency, which is why every latency must be at least 1.
+//! Squash, shadow discard, activation and self-repair leave only stale
+//! entries, which are skipped by id since ids are never reused.
 
 use crate::config::SimConfig;
 use crate::cpi::{CpiFlags, CpiStack, StallCause};
@@ -36,10 +52,11 @@ use crate::inject::FaultInjector;
 use crate::observe::{Event, Observers};
 use crate::oracle::{DivergenceReport, RetireEcho};
 use crate::physreg::{PhysFile, PhysReg};
+use crate::sched::Scheduler;
 use crate::stats::{Report, Stats};
 use crate::tracelog::TraceLog;
 use crate::uop::{FetchBundle, UopId, UopTable};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use tracefill_core::fill::FillUnit;
 use tracefill_core::tcache::TraceCache;
@@ -235,17 +252,19 @@ pub struct Simulator {
     pub(crate) phys: PhysFile,
     pub(crate) next_uop_id: UopId,
     pub(crate) next_ckpt_id: u64,
-    pub(crate) checkpoints: Vec<Checkpoint>,
+    /// Live checkpoints, in id order of their branches.
+    pub(crate) checkpoints: VecDeque<Checkpoint>,
 
     // Window and backend.
     pub(crate) uops: UopTable,
     pub(crate) window: VecDeque<UopId>,
     pub(crate) shadows: HashMap<UopId, Shadow>,
-    pub(crate) rs: Vec<Vec<UopId>>,
     /// In-flight active stores (loads never wait here: the memory
     /// scheduler only asks which older stores a load must respect).
     pub(crate) stores: VecDeque<UopId>,
-    pub(crate) completions: BTreeMap<u64, Vec<UopId>>,
+    /// Reservation-station occupancy, ready sets, wakeups and
+    /// completions (see [`crate::sched`]).
+    pub(crate) sched: Scheduler,
 
     // Control.
     pub(crate) cycle: u64,
@@ -276,12 +295,28 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator with the program loaded and the machine reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any [`LatencyConfig`](crate::config::LatencyConfig)
+    /// field is 0, naming the field: every result must appear at least
+    /// one cycle after its uop executes.
     pub fn new(program: &Program, cfg: SimConfig) -> Simulator {
         Simulator::with_io(program, cfg, IoCtx::default())
     }
 
     /// Creates a simulator with an input stream for `READ_INT`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`new`](Self::new).
     pub fn with_io(program: &Program, cfg: SimConfig, io: IoCtx) -> Simulator {
+        for (field, cycles) in cfg.latency.fields() {
+            assert!(
+                cycles >= 1,
+                "LatencyConfig::{field} is 0; every latency must be at least 1 cycle"
+            );
+        }
         let mut phys = PhysFile::new(cfg.phys_regs, cfg.cross_cluster_latency);
         let mut rat = [PhysFile::ZERO; NUM_ARCH_REGS];
         for r in ArchReg::all() {
@@ -293,7 +328,6 @@ impl Simulator {
             phys.write_arch(p, v);
             rat[r.index()] = p;
         }
-        let num_fus = cfg.num_fus();
         let mut fill = FillUnit::new(cfg.fill);
         if cfg.self_repair.enabled {
             fill.enable_quarantine(cfg.self_repair.ladder);
@@ -318,13 +352,12 @@ impl Simulator {
             phys,
             next_uop_id: 0,
             next_ckpt_id: 0,
-            checkpoints: Vec::new(),
+            checkpoints: VecDeque::new(),
             uops: UopTable::default(),
             window: VecDeque::new(),
             shadows: HashMap::new(),
-            rs: (0..num_fus).map(|_| Vec::new()).collect(),
             stores: VecDeque::new(),
-            completions: BTreeMap::new(),
+            sched: Scheduler::new(&cfg),
             cycle: 0,
             halted: None,
             stats: Stats::default(),

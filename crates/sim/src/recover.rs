@@ -19,12 +19,9 @@ impl Simulator {
 
         // Restore rename/predictor state from the checkpoint, then re-apply
         // the branch's own speculative effects with the *actual* outcome.
-        let ckpt_idx = self
-            .checkpoints
-            .iter()
-            .position(|c| c.branch == branch_id)
+        let ckpt = self
+            .take_checkpoint(branch_id)
             .expect("recovering branch owns a checkpoint");
-        let ckpt = self.checkpoints.remove(ckpt_idx);
         self.rat = ckpt.rat;
         self.ras.restore(ckpt.ras);
         self.predictor.restore(ckpt.ghr);
@@ -82,12 +79,9 @@ impl Simulator {
 
         // Predictor/RAS state: restore the anchor's checkpoint, then apply
         // the actual outcome and the shadow's own fetch-time effects.
-        let ckpt_idx = self
-            .checkpoints
-            .iter()
-            .position(|c| c.branch == branch_id)
+        let ckpt = self
+            .take_checkpoint(branch_id)
             .expect("divergence branch owns a checkpoint");
-        let ckpt = self.checkpoints.remove(ckpt_idx);
         self.ras.restore(ckpt.ras);
         self.predictor.restore(ckpt.ghr);
         let (anchor_actual, anchor_promoted) = {
@@ -118,13 +112,14 @@ impl Simulator {
             let ras_snap = self.ras.snapshot();
             let ghr_snap = self.predictor.snapshot();
 
-            let (op, pc, is_store, is_sys, is_return) = {
+            let (op, pc, deferred, is_store, is_sys, is_return) = {
                 let u = self.uops.get_mut(id).expect("shadow uop exists");
                 u.inactive = false;
-                u.mem_deferred = false;
+                let deferred = std::mem::take(&mut u.mem_deferred);
                 (
                     u.op,
                     u.pc,
+                    deferred,
                     u.mem.is_some_and(|m| !m.is_load),
                     u.is_system(),
                     u.instr.op == Op::Jr && u.instr.rs == ArchReg::RA,
@@ -135,6 +130,10 @@ impl Simulator {
             if is_store {
                 debug_assert!(self.stores.back().is_none_or(|&b| b < id));
                 self.stores.push_back(id);
+                self.sched.unaddressed.push(id);
+            }
+            if deferred {
+                self.undefer(id);
             }
             if is_sys {
                 self.serialize = Some(id);
@@ -147,8 +146,8 @@ impl Simulator {
                 let ckpt_id = self.next_ckpt_id;
                 self.next_ckpt_id += 1;
                 let rat = snap.expect("shadow branch has a rename snapshot");
-                debug_assert!(self.checkpoints.last().is_none_or(|c| c.branch < id));
-                self.checkpoints.push(crate::machine::Checkpoint {
+                debug_assert!(self.checkpoints.back().is_none_or(|c| c.branch < id));
+                self.checkpoints.push_back(crate::machine::Checkpoint {
                     id: ckpt_id,
                     branch: id,
                     rat,
@@ -294,9 +293,7 @@ impl Simulator {
     fn forget_discarded(&mut self) {
         let uops = &self.uops;
         self.stores.retain(|&id| uops.contains(id));
-        for rs in &mut self.rs {
-            rs.retain(|&id| uops.contains(id));
-        }
+        self.sched.retain_live(|id| uops.contains(id));
         self.checkpoints.retain(|c| uops.contains(c.branch));
         if self.serialize.is_some_and(|s| !uops.contains(s)) {
             self.serialize = None;
@@ -322,10 +319,7 @@ impl Simulator {
         self.shadows.clear();
         self.checkpoints.clear();
         self.stores.clear();
-        self.completions.clear();
-        for rs in &mut self.rs {
-            rs.clear();
-        }
+        self.sched.clear();
         self.pending = None;
         self.fetch_buffer = None;
         self.serialize = None;
@@ -352,6 +346,7 @@ impl Simulator {
     /// structures.
     fn discard_uop(&mut self, id: UopId) -> Option<Uop> {
         let u = self.uops.remove(id)?;
+        self.unschedule(&u);
         for p in u.srcs.into_iter().flatten() {
             self.phys.release(p);
         }
@@ -359,6 +354,16 @@ impl Simulator {
             self.phys.release(p);
         }
         Some(u)
+    }
+
+    /// Removes and returns the checkpoint owned by `branch`, if any
+    /// (checkpoints are kept in id order of their branches).
+    fn take_checkpoint(&mut self, branch: UopId) -> Option<crate::machine::Checkpoint> {
+        let i = self
+            .checkpoints
+            .binary_search_by_key(&branch, |c| c.branch)
+            .ok()?;
+        self.checkpoints.remove(i)
     }
 
     /// Flushes the fetch buffer and partially issued bundle and redirects.

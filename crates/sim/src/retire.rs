@@ -306,7 +306,7 @@ impl Simulator {
                     // the service result or the unchanged old value.
                     let (_, p) = dest.expect("syscall uop renames $v0");
                     let v0 = outcome.reg_write.map(|(_, v)| v).unwrap_or(service);
-                    self.phys.write_arch(p, v0);
+                    self.publish_arch(p, v0);
                     if let Some(code) = outcome.exit {
                         self.halted = Some(tracefill_isa::interp::Halt::Exited(code));
                     }
@@ -365,10 +365,17 @@ impl Simulator {
         if let Some(prev) = prev_phys {
             self.phys.release(prev);
         }
-        self.checkpoints.retain(|c| c.branch != id);
+        // The retiring uop is the oldest in flight, so a checkpoint it
+        // owns is the front one.
+        debug_assert!(self.checkpoints.front().is_none_or(|c| c.branch >= id));
+        if self.checkpoints.front().is_some_and(|c| c.branch == id) {
+            self.checkpoints.pop_front();
+        }
         self.drop_shadow(id);
         if self.stores.front() == Some(&id) {
             self.stores.pop_front();
+            // Loads a partial overlap held back may go now.
+            self.wake_parked(id);
         }
         self.observers.emit(
             self.cycle,

@@ -234,9 +234,15 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
 }
 
 fn check_program(name: &str, src: &str, input: &[u32]) {
+    check_under(name, src, input, configs());
+}
+
+/// Runs `src` on every config of `configs` and compares its output with
+/// the interpreter's.
+fn check_under(name: &str, src: &str, input: &[u32], configs: Vec<(&str, SimConfig)>) {
     let prog = assemble(src).unwrap_or_else(|e| panic!("{name}: {e}"));
     let expect = reference_output(&prog, input);
-    for (cname, cfg) in configs() {
+    for (cname, cfg) in configs {
         let mut sim = Simulator::with_io(&prog, cfg, IoCtx::with_input(input.iter().copied()));
         let exit = sim
             .run(20_000_000)
@@ -278,6 +284,45 @@ fn patterns_under_all_configs() {
 #[test]
 fn inputs_under_all_configs() {
     check_program("inputs", INPUTS, &[3, 1, 4, 1, 5]);
+}
+
+/// Latencies at both ends of the scheduler's rings: every class at one
+/// cycle, and a slow divider and memory with a three-cycle cross-cluster
+/// hop.
+#[test]
+fn extreme_latencies_under_every_program() {
+    let mut unit = SimConfig::with_opts(OptConfig::all());
+    unit.latency.mul = 1;
+    unit.latency.div = 1;
+    unit.hierarchy.timings.l2_hit = 1;
+    unit.hierarchy.timings.dram = 1;
+    let mut slow = SimConfig::with_opts(OptConfig::all());
+    slow.latency.div = 70;
+    slow.hierarchy.timings.l2_hit = 20;
+    slow.hierarchy.timings.dram = 300;
+    slow.cross_cluster_latency = 3;
+    for (name, src, input) in [
+        ("fib", FIB, &[][..]),
+        ("sort", SORT, &[]),
+        ("dispatch", DISPATCH, &[]),
+        ("alias", ALIAS, &[]),
+        ("patterns", PATTERNS, &[]),
+        ("inputs", INPUTS, &[3, 1, 4, 1, 5]),
+    ] {
+        let configs = vec![("unit", unit.clone()), ("slow", slow.clone())];
+        check_under(name, src, input, configs);
+    }
+}
+
+/// A zero latency would file a completion under the cycle being
+/// completed; construction rejects it and names the field.
+#[test]
+#[should_panic(expected = "LatencyConfig::div is 0")]
+fn zero_latency_is_rejected_naming_the_field() {
+    let prog = assemble(FIB).unwrap();
+    let mut cfg = SimConfig::default();
+    cfg.latency.div = 0;
+    let _ = Simulator::new(&prog, cfg);
 }
 
 #[test]

@@ -524,6 +524,11 @@ impl Simulator {
         self.fill.stats()
     }
 
+    /// The fill unit itself (its telemetry, repair ladder and build memo).
+    pub fn fill_unit(&self) -> &tracefill_core::fill::FillUnit {
+        &self.fill
+    }
+
     /// Trace-cache statistics.
     pub fn tcache_stats(&self) -> tracefill_core::tcache::TraceCacheStats {
         self.tcache.stats()

@@ -8,13 +8,14 @@
 //! * a deliberately corrupted immediate must produce a structured
 //!   [`DivergenceReport`] naming the faulted trace segment;
 //! * strict mode must catch fill-side corruption at the cache boundary
-//!   before it retires;
+//!   before it retires, also when the fill unit replayed the clean
+//!   segment from its build memo;
 //! * fault injection must be bit-identical given the same seed.
 
 use tracefill_core::config::OptConfig;
 use tracefill_isa::interp::Interp;
 use tracefill_isa::ArchReg;
-use tracefill_sim::{FaultKind, FaultPlan, SimConfig, Simulator};
+use tracefill_sim::{FaultKind, FaultPlan, FaultSpec, SimConfig, Simulator};
 use tracefill_workloads::gen::{generate, PatternMix};
 
 /// Every optimization set the paper evaluates (plus the CSE extension).
@@ -165,6 +166,48 @@ fn strict_mode_catches_fill_side_corruption_at_the_cache_boundary() {
         sim.report().metrics.counter("fault.detected.fill_verify") > 0,
         "strict verification must report the dropped segments"
     );
+}
+
+/// The fill unit's build memo vouches only for segments as the passes
+/// left them. A `CorruptImm` strike on a segment the fill unit replayed
+/// from its memo (its clean twin was built long before) is caught by the
+/// cache-boundary check, which runs the verifier on the corrupted copy
+/// itself rather than asking the memo.
+#[test]
+fn memoized_segments_are_verified_again_when_faulted() {
+    const AT: u64 = 3_000;
+    let b = tracefill_workloads::by_name("m88k").unwrap();
+    let prog = b.program(b.scale_for(100_000)).unwrap();
+    let mut cfg = SimConfig::with_opts(OptConfig::all());
+    assert!(cfg.fill.strict_verify && cfg.oracle_check);
+    cfg.fault_plan = Some(FaultPlan {
+        seed: 0,
+        faults: vec![FaultSpec {
+            kind: FaultKind::CorruptImm,
+            at_event: AT,
+            payload: 0x2a17,
+        }],
+    });
+    let mut sim = Simulator::new(&prog, cfg);
+    while sim.fill_stats().segments < AT / 2 {
+        sim.step_cycle().unwrap();
+    }
+    let misses = sim.fill_unit().memo_misses();
+    assert!(misses * 10 < AT, "m88k rebuilds few distinct segments");
+    while sim.faults_fired() == 0 {
+        sim.step_cycle().unwrap();
+    }
+    // No finalize from fill event AT/2 through the struck one missed the
+    // memo: the struck segment is a replayed build.
+    assert_eq!(sim.fill_unit().memo_misses(), misses);
+    let detected = |sim: &Simulator| sim.report().metrics.counter("fault.detected.fill_verify");
+    assert_eq!(detected(&sim), 1, "caught at the cache boundary");
+    let mut oracle = Interp::new(&prog);
+    let halt = oracle.run(100_000_000).unwrap();
+    sim.run(500_000_000).unwrap();
+    assert_eq!(sim.halted(), Some(halt));
+    assert_eq!(detected(&sim), 1);
+    assert_eq!(sim.report().metrics.counter("fill.verify.fail"), 0);
 }
 
 #[test]

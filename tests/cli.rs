@@ -47,7 +47,13 @@ fn stderr(out: &Output) -> String {
 /// `tests/golden/<name>`. To regenerate a golden after an intended
 /// format change, run the same command and redirect stdout to the file.
 fn assert_golden(name: &str, args: &[&str]) {
-    let out = bin().args(args).output().unwrap();
+    assert_golden_from(bin().args(args), name);
+}
+
+/// [`assert_golden`] for a prepared command (e.g. one run in another
+/// working directory).
+fn assert_golden_from(cmd: &mut Command, name: &str) {
+    let out = cmd.output().unwrap();
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden")
@@ -55,8 +61,7 @@ fn assert_golden(name: &str, args: &[&str]) {
     let want = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert!(
         out.stdout == want,
-        "`tracefill {}` no longer matches {}; got:\n{}",
-        args.join(" "),
+        "`{cmd:?}` no longer matches {}; got:\n{}",
         path.display(),
         String::from_utf8_lossy(&out.stdout)
     );
@@ -91,6 +96,22 @@ fn ledger_and_adapt_match_goldens() {
             "--json",
         ],
     );
+    // Two benchmarks through one ledger invocation.
+    assert_golden(
+        "ledger-two.json",
+        &[
+            "ledger",
+            "--bench",
+            "m88k,comp",
+            "--seed",
+            "1",
+            "--warmup",
+            "1000",
+            "--budget",
+            "8000",
+            "--json",
+        ],
+    );
     assert_golden(
         "adapt.json",
         &[
@@ -105,6 +126,16 @@ fn verify_and_suite_match_goldens() {
     assert_golden(
         "verify.txt",
         &["verify", "--opts", "none:all", "--budget", "2000"],
+    );
+    // The file form, run beside the program so the golden names no
+    // temporary directory.
+    let dir = scratch("verify-file");
+    smoke_program(&dir);
+    assert_golden_from(
+        bin().current_dir(&dir).args([
+            "verify", "smoke.s", "--opts", "none:all", "--budget", "2000",
+        ]),
+        "verify-file.txt",
     );
     assert_golden("suite.txt", &["suite", "--opts", "all", "--budget", "2000"]);
     // Each pass alone: the per-pass IPC behind Figs 3-6.

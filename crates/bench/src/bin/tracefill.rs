@@ -1,10 +1,11 @@
 //! `tracefill` — command-line driver for the simulator. Run it without
 //! arguments for the usage text.
 //!
-//! The sweep subcommands share the harness: `verify`, `suite` and `adapt`
-//! expand a campaign grid and run it through the harness runner, and
-//! `inject` and `heal` are two renderings of one harness fault sweep,
-//! whose outcome taxonomy `report --format repair` also uses.
+//! The sweep subcommands share the harness: `verify`, `suite`, `ledger`
+//! and `adapt` expand a campaign grid and run it through the harness
+//! runner on the pool's order-preserving map, and `inject` and `heal` are
+//! two renderings of one harness fault sweep, whose outcome taxonomy
+//! `report --format repair` also uses.
 //!
 //! Numeric flags are parsed strictly: a malformed value is a usage error
 //! (exit 2), never a silent fall-back to the default. A zero-sized axis
@@ -15,8 +16,9 @@ use std::process::exit;
 use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
 use tracefill_core::QuarantineConfig;
 use tracefill_harness::{
-    report, run_adapt, run_campaign_with, runner, store, AdaptSpec, CampaignOptions, CampaignSpec,
-    CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunRecord, RunStatus, Tally,
+    pool, report, run_adapt, run_campaign_with, runner, store, AdaptSpec, CampaignOptions,
+    CampaignSpec, CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunRecord,
+    RunStatus, Tally,
 };
 use tracefill_isa::asm::assemble;
 use tracefill_isa::interp::Interp;
@@ -401,14 +403,6 @@ fn cmd_characterize(args: &[String]) {
     println!("loads / stores        : {loads:5.2}% / {stores:.2}%");
 }
 
-/// Runs every point of `spec` through the harness runner, in grid order.
-fn execute_all(spec: &CampaignSpec) -> Vec<RunRecord> {
-    let runs = spec.expand();
-    runs.iter()
-        .map(|d| runner::execute(d, &spec.name, None))
-        .collect()
-}
-
 /// The suite's IPC gain per opt set over the `none` baseline: one
 /// campaign grid (warmup and measured window of `--budget` instructions
 /// each) run through the harness runner and rendered as the Figure 8
@@ -426,14 +420,23 @@ fn cmd_suite(args: &[String]) {
     }
     let budget: u64 = parse_flag(args, "--budget", 100_000);
     require_nonzero("--budget", budget);
-    let records = execute_all(&CampaignSpec {
+    let spec = CampaignSpec {
         name: "suite".into(),
         opt_sets,
         fill_latencies: vec![1],
         warmup: budget,
         budget,
         ..CampaignSpec::fig8()
-    });
+    };
+    let records = pool::execute_all(&spec.expand(), &spec.name);
+    // The table has no row for a failed run, so name them and fail.
+    let failed = records.iter().filter(|r| !r.status.is_ok());
+    let failed: Vec<String> = failed
+        .map(|r| format!("{} opts={} ended {}", r.bench, r.opt_label, r.status))
+        .collect();
+    if !failed.is_empty() {
+        die!(1, "suite: not every run ended ok:\n{}", failed.join("\n"));
+    }
     print!("{}", report::fig8_table(&records));
 }
 
@@ -490,9 +493,9 @@ fn cmd_campaign(args: &[String]) {
 
 /// Lockstep-oracle verification: every workload (or one file) under every
 /// requested optimization set, strict segment verification *and*
-/// retire-time oracle checking on. The suite form is a campaign grid run
-/// through the harness runner. Any divergence prints the structured
-/// report and fails the command.
+/// retire-time oracle checking on, each run through the harness runner.
+/// A run passes only if it ends `ok`; any other status (a divergence, a
+/// watchdog, a panic) prints its report and fails the command.
 fn cmd_verify(args: &[String]) {
     let opt_list = parse_opt_axis(args, "none:moves:reassoc:scadd:placement:cse:all");
     let budget: u64 = parse_flag(args, "--budget", 30_000);
@@ -500,57 +503,52 @@ fn cmd_verify(args: &[String]) {
     require_nonzero("--budget", budget);
     require_nonzero("--max-cycles", max_cycles);
 
-    let (mut total, mut diverged) = (0u64, 0u64);
-    // Judges one configuration: `(retired, cycles)` or the divergence report.
-    let mut judge = |name: &str, label: &str, run: Result<(u64, u64), String>| {
-        total += 1;
-        match run {
-            Ok((retired, cycles)) => {
-                println!("PASS {name:<8} opts={label:<26} retired={retired} cycles={cycles}");
-            }
-            Err(report) => {
-                diverged += 1;
-                eprintln!("FAIL {name} opts={label}\n{report}");
-            }
-        }
+    let file = optional_positional(args);
+    let mut spec = CampaignSpec {
+        name: "verify".into(),
+        opt_sets: opt_list
+            .into_iter()
+            .map(|(label, opts)| OptPoint { label, opts })
+            .collect(),
+        fill_latencies: vec![1],
+        warmup: 0,
+        budget,
+        max_cycles,
+        ..CampaignSpec::fig8()
     };
-    match optional_positional(args) {
+    let records = match file {
         Some(path) => {
             let prog = load(path);
-            for (label, opts) in &opt_list {
-                let mut sim = Simulator::new(&prog, SimConfig::with_opts(*opts));
-                let run = sim.run_budgeted(budget, max_cycles, None);
-                let run = run.map(|_| (sim.stats().retired, sim.cycle()));
-                judge(path, label, run.map_err(|e| e.to_string()));
-            }
+            spec.benchmarks = vec![path.clone()];
+            pool::run_all(&spec.expand(), "verify", |desc| {
+                runner::run_program(desc, &prog, runner::sim_config(desc), "verify", None).0
+            })
         }
-        None => {
-            let opt_sets = opt_list.into_iter();
-            let spec = CampaignSpec {
-                name: "verify".into(),
-                opt_sets: opt_sets
-                    .map(|(label, opts)| OptPoint { label, opts })
-                    .collect(),
-                fill_latencies: vec![1],
-                warmup: 0,
-                budget,
-                max_cycles,
-                ..CampaignSpec::fig8()
-            };
-            for rec in execute_all(&spec) {
-                let run = match rec.status {
-                    RunStatus::SimError(report) => Err(report),
-                    _ => Ok((rec.stats.retired, rec.stats.cycles)),
-                };
-                judge(&rec.bench, &rec.opt_label, run);
+        None => pool::execute_all(&spec.expand(), "verify"),
+    };
+
+    for rec in &records {
+        let (name, label, status) = (&rec.bench, &rec.opt_label, &rec.status);
+        let (retired, cycles) = (rec.stats.retired, rec.stats.cycles);
+        match status {
+            RunStatus::Ok => {
+                println!("PASS {name:<8} opts={label:<26} retired={retired} cycles={cycles}");
             }
+            _ => eprintln!("FAIL {name} opts={label} ended {status}"),
         }
     }
-    let passed = total - diverged;
+    let passed = records.iter().filter(|r| r.status.is_ok()).count();
+    let diverged = records
+        .iter()
+        .filter(|r| matches!(r.status, RunStatus::SimError(_)))
+        .count();
+    let failed = records.len() - passed - diverged;
+    let failed_note = (failed > 0).then(|| format!(", {failed} failed"));
     println!(
-        "verify: {passed} configuration(s) passed, {diverged} diverged (budget {budget} instrs each)"
+        "verify: {passed} configuration(s) passed, {diverged} diverged{} (budget {budget} instrs each)",
+        failed_note.unwrap_or_default()
     );
-    if diverged > 0 {
+    if passed < records.len() {
         exit(1);
     }
 }
@@ -843,29 +841,36 @@ fn cmd_ledger(args: &[String]) {
             opts,
         }],
         fill_latencies: vec![latency],
-        benchmarks,
+        benchmarks: benchmarks.clone(),
         seeds: vec![seed],
-        warmup,
-        budget,
+        // One phase: the ledger covers the whole run, warmup included.
+        warmup: 0,
+        budget: warmup + budget,
         max_cycles,
         policies: vec![policy.name().to_string()],
         ledger: true,
         ..CampaignSpec::fig8()
     };
-    let mut bench_docs = Json::object();
-    let mut human = String::new();
-    for desc in spec.expand() {
-        let name = desc.bench.as_str();
-        let prog = or_exit!(runner::build_program(&desc), "");
-        let mut sim = Simulator::new(&prog, runner::sim_config(&desc));
-        let run = sim.run_budgeted(warmup + budget, max_cycles, None);
-        or_exit!(run, "{name}: simulation error: ");
+    // Each benchmark's report, built on the pool from its finished run.
+    let ledgers = pool::map_isolated(&spec.expand(), |desc| {
+        let prog = runner::build_program(desc)?;
+        let (rec, sim) = runner::run_program(desc, &prog, runner::sim_config(desc), "ledger", None);
+        if let RunStatus::SimError(e) = rec.status {
+            return Err(format!("simulation error: {e}"));
+        }
         let rep = sim.ledger().report(sim.cycle(), top);
-        human.push_str(&tracefill_core::ledger::render_report(name, &rep));
+        let human = tracefill_core::ledger::render_report(&desc.bench, &rep);
         let doc = Json::object()
             .with("cycles", sim.cycle())
             .with("retired", sim.stats().retired)
             .with("ledger", rep);
+        Ok((human, doc))
+    });
+    let mut bench_docs = Json::object();
+    let mut human = String::new();
+    for (name, ledger) in benchmarks.iter().zip(ledgers) {
+        let (text, doc) = or_exit!(ledger.and_then(|l| l), "{name}: ");
+        human.push_str(&text);
         bench_docs = bench_docs.with(name, doc);
     }
     let doc = Json::object()

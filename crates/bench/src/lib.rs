@@ -22,15 +22,16 @@
 //! predictor state need a long run-in before the steady state is
 //! representative).
 //!
-//! Every figure and table except the ablations runs through the harness
-//! campaign engine ([`campaign_records`]); the ablations vary machine
-//! settings that are not grid axes, so they keep [`run_with`].
+//! Every run goes through the harness runner: figures and tables as
+//! campaign grids ([`campaign_records`]), and the ablations, whose machine
+//! settings are not grid axes, one `SimConfig` at a time ([`run_with`]).
 
 #![warn(missing_docs)]
 
 use tracefill_core::config::OptConfig;
+use tracefill_harness::runner::{build_program, run_program};
 use tracefill_harness::{report, run_campaign, CampaignSpec, OptPoint, ResultStore, RunRecord};
-use tracefill_sim::{SimConfig, Simulator};
+use tracefill_sim::SimConfig;
 use tracefill_workloads::Benchmark;
 
 /// An integer environment knob, or `default` when unset.
@@ -45,26 +46,27 @@ fn env_knob(key: &str, default: u64) -> u64 {
     })
 }
 
-/// Runs `bench` under `cfg` for the standard warmup + budget window and
-/// returns the IPC over the measured window.
+/// Runs `bench` on the machine `cfg` through the harness runner for the
+/// standard warmup + budget window and returns the IPC over the window.
 ///
 /// # Panics
 ///
-/// Panics on simulator errors — the oracle lockstep check is enabled, so a
-/// completed run is an architecturally verified run.
+/// Panics if the run does not end `ok` — the oracle lockstep check is
+/// enabled, so a completed run is an architecturally verified run.
 pub fn run_with(bench: &Benchmark, cfg: SimConfig) -> f64 {
-    let warmup = env_knob("TRACEFILL_WARMUP", 150_000);
-    let budget = env_knob("TRACEFILL_BUDGET", 150_000);
-    let prog = bench
-        .program(bench.scale_for((warmup + budget) * 2))
-        .expect("kernel assembles");
-    let mut sim = Simulator::new(&prog, cfg);
-    sim.run_instrs(warmup)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-    let (c0, r0) = (sim.cycle(), sim.stats().retired);
-    sim.run_instrs(budget)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-    (sim.stats().retired - r0) as f64 / (sim.cycle() - c0).max(1) as f64
+    let desc = CampaignSpec {
+        name: "ablations".to_string(),
+        benchmarks: vec![bench.name.to_string()],
+        warmup: env_knob("TRACEFILL_WARMUP", 150_000),
+        budget: env_knob("TRACEFILL_BUDGET", 150_000),
+        ..CampaignSpec::fig8()
+    }
+    .expand()
+    .remove(0);
+    let prog = build_program(&desc).expect("kernel assembles");
+    let (record, _) = run_program(&desc, &prog, cfg, "ablations", None);
+    assert!(record.status.is_ok(), "{}: {}", bench.name, record.status);
+    record.ipc
 }
 
 /// Runs `spec` through the campaign engine into a resumable store under

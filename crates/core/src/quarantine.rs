@@ -164,12 +164,6 @@ impl Quarantine {
         self.counts.values().sum()
     }
 
-    /// Number of `(pass, class)` pairs currently quarantined.
-    #[must_use]
-    pub fn quarantined_pairs(&self) -> u64 {
-        self.quarantined.len() as u64
-    }
-
     /// Whether any rung of the ladder is active (anything blocked
     /// anywhere). When false, [`blocked_for`](Self::blocked_for) is empty
     /// for every class and callers can skip gating entirely.

@@ -30,13 +30,6 @@ pub enum SrcRef {
     Internal(u8),
 }
 
-impl SrcRef {
-    /// Whether this is an internal (same-segment) dependency.
-    pub fn is_internal(self) -> bool {
-        matches!(self, SrcRef::Internal(_))
-    }
-}
-
 /// A scaled-add annotation: one source operand is shifted left before the
 /// operation executes (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,11 +79,6 @@ pub struct SegSlot {
 }
 
 impl SegSlot {
-    /// Number of register sources the executed form reads.
-    pub fn num_srcs(&self) -> usize {
-        self.srcs.iter().flatten().count()
-    }
-
     /// Iterates over present sources as `(operand_index, SrcRef)`.
     pub fn src_refs(&self) -> impl Iterator<Item = (usize, SrcRef)> + '_ {
         self.srcs
@@ -311,23 +299,6 @@ impl Segment {
                 }
             }
             _ => Some(last.pc.wrapping_add(4)),
-        }
-    }
-
-    /// The PC that follows slot `i` along the embedded path.
-    pub fn next_pc_of(&self, i: usize) -> Option<u32> {
-        let slot = &self.slots[i];
-        match slot.op {
-            Op::Jr | Op::Jalr => None,
-            Op::J | Op::Jal => slot.orig.taken_target(slot.pc),
-            op if op.is_cond_branch() => {
-                if slot.taken == Some(true) {
-                    slot.orig.taken_target(slot.pc)
-                } else {
-                    Some(slot.pc.wrapping_add(4))
-                }
-            }
-            _ => Some(slot.pc.wrapping_add(4)),
         }
     }
 

@@ -1,14 +1,15 @@
 //! Static-vs-adaptive comparison: the `tracefill adapt` engine.
 //!
 //! For each benchmark, every static optimization set in the spec is run
-//! with the controller off, then one adaptive run executes with the pass
+//! with the controller off, and one adaptive run executes with the pass
 //! controller enabled (arms gate which passes run; pass parameters stay at
-//! the paper's values). The result is a deterministic JSON report — no
-//! wall-clock fields, members in fixed order — so two same-seed
-//! invocations produce byte-identical output.
+//! the paper's values), all on the pool. The result is a deterministic
+//! JSON report — no wall-clock fields, members in fixed order — so two
+//! same-seed invocations produce byte-identical output.
 
 use crate::grid::{CampaignSpec, OptPoint};
-use crate::runner::{execute, RunRecord};
+use crate::pool;
+use crate::runner::RunRecord;
 use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
 use tracefill_util::Json;
 
@@ -135,8 +136,11 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
         opts: OptConfig::all(),
     }];
 
-    let static_runs = spec.campaign(static_sets, "off".to_string()).expand();
-    let adaptive_runs = spec.campaign(adaptive_sets, spec.mode.label()).expand();
+    let mut runs = spec.campaign(static_sets, "off".to_string()).expand();
+    let n_static = runs.len();
+    runs.extend(spec.campaign(adaptive_sets, spec.mode.label()).expand());
+    let records = pool::execute_all(&runs, "adapt");
+    let (static_runs, adaptive_runs) = records.split_at(n_static);
 
     let mut bench_rows = Vec::new();
     let mut sum_best = 0.0f64;
@@ -152,9 +156,8 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
         let statics = &static_runs[i * spec.opt_specs.len()..(i + 1) * spec.opt_specs.len()];
         let mut static_rows = Vec::new();
         let mut best: Option<(String, f64)> = None;
-        for (j, desc) in statics.iter().enumerate() {
-            let rec = execute(desc, "adapt", None);
-            static_rows.push(run_row(&rec)?);
+        for (j, rec) in statics.iter().enumerate() {
+            static_rows.push(run_row(rec)?);
             set_sums[j] += rec.ipc;
             if best.as_ref().is_none_or(|(_, ipc)| rec.ipc > *ipc) {
                 best = Some((rec.opt_label.clone(), rec.ipc));
@@ -162,8 +165,8 @@ pub fn run_adapt(spec: &AdaptSpec) -> Result<Json, String> {
         }
         let (best_label, best_ipc) = best.expect("non-empty opt axis");
 
-        let rec = execute(&adaptive_runs[i], "adapt", None);
-        let mut adaptive = run_row(&rec)?;
+        let rec = &adaptive_runs[i];
+        let mut adaptive = run_row(rec)?;
         adaptive = adaptive
             .with("controller", rec.controller.as_str())
             .with("epochs", rec.metrics.counter("policy.epochs"))

@@ -2,15 +2,18 @@
 //! `tracefill heal` and `tracefill report --format repair`.
 //!
 //! A [`FaultSweep`] runs one benchmark on each configured machine for a
-//! number of trials, each with its own seeded [`FaultPlan`], contains
-//! panics, and judges every run with `classify` against one fault-free
-//! interpreter run. Faults are not a campaign axis: the campaign
+//! number of trials, each with its own seeded [`FaultPlan`]. The trials
+//! run on the pool's [`map_isolated`](crate::pool::map_isolated), which
+//! turns a panicking trial into an outcome of its own and returns results
+//! in trial order, so a sweep's tallies do not depend on the core count.
+//! Every run is judged with `classify` against one fault-free interpreter
+//! run. Faults are not a campaign axis: the campaign
 //! [`runner`](crate::runner) measures instruction windows and never
 //! compares a run's output with a reference, which is what a fault trial
 //! exists to do.
 
+use crate::pool;
 use crate::runner::{RunRecord, RunStatus};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use tracefill_isa::interp::{Halt, Interp};
 use tracefill_isa::syscall::IoCtx;
 use tracefill_isa::Program;
@@ -255,22 +258,24 @@ impl FaultSweep {
         let output = interp.io().output.clone();
         let reference = Reference { halt, output };
 
-        // A fault-induced panic is an outcome here; keep its default
-        // backtrace off stderr so sweep output stays readable.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        // Every trial of every cell on the pool; a fault-induced panic is
+        // an outcome here, recorded in its own slot.
+        let trials: Vec<(usize, u64)> = (0..self.cells.len())
+            .flat_map(|cell| (0..self.trials).map(move |trial| (cell, trial)))
+            .collect();
+        let runs = pool::map_isolated(&trials, |&(cell, trial)| {
+            self.trial(&prog, &self.cells[cell].1, trial)
+        });
         let mut tallies = vec![Tally::default(); self.cells.len()];
-        for ((_, cfg), tally) in self.cells.iter().zip(&mut tallies) {
-            for trial in 0..self.trials {
-                let run = self.trial(&prog, cfg, trial);
-                tally.add(classify(&run, &reference));
-                tally.injected += run.metrics.counter("fault.injected");
-                tally.repairs += run.metrics.counter("repair.total");
-                tally.quarantines += run.metrics.counter("repair.quarantined");
-                tally.disables += run.metrics.counter("repair.disabled");
-            }
+        for (&(cell, _), run) in trials.iter().zip(runs) {
+            let run = run.unwrap_or_default();
+            let tally = &mut tallies[cell];
+            tally.add(classify(&run, &reference));
+            tally.injected += run.metrics.counter("fault.injected");
+            tally.repairs += run.metrics.counter("repair.total");
+            tally.quarantines += run.metrics.counter("repair.quarantined");
+            tally.disables += run.metrics.counter("repair.disabled");
         }
-        std::panic::set_hook(prev_hook);
         Ok(tallies)
     }
 
@@ -283,20 +288,14 @@ impl FaultSweep {
         let plan = FaultPlan::generate(plan_seed, self.faults, self.horizon, &self.kinds);
         cfg.fault_plan = Some(plan);
         let armed = cfg.self_repair.enabled;
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = Simulator::new(prog, cfg);
-            let exit = sim.run_budgeted(self.budget.saturating_mul(10), 50_000_000, None);
-            Trial {
-                exit: Some(exit),
-                armed,
-                output: sim.io().output.clone(),
-                metrics: sim.report().metrics,
-            }
-        }))
-        .unwrap_or(Trial {
+        let mut sim = Simulator::new(prog, cfg);
+        let exit = sim.run_budgeted(self.budget.saturating_mul(10), 50_000_000, None);
+        Trial {
+            exit: Some(exit),
             armed,
-            ..Trial::default()
-        })
+            output: sim.io().output.clone(),
+            metrics: sim.report().metrics,
+        }
     }
 }
 

@@ -7,11 +7,11 @@
 //!
 //! * [`grid`] — a campaign spec that expands into deterministic
 //!   [`RunDescriptor`]s, each with a stable content-hash run id;
-//! * [`runner`] — executes one descriptor (warmup + measured window) under
-//!   a cycle watchdog and a wall-clock watchdog, so one pathological
+//! * [`runner`] — the one run path (warmup + measured window) under a
+//!   cycle watchdog and a wall-clock watchdog, so one pathological
 //!   configuration cannot hang a sweep;
-//! * [`pool`] — a sharded `std::thread` worker pool (`--jobs N`) that
-//!   isolates per-run panics with `catch_unwind`;
+//! * [`pool`] — a sharded worker pool (`--jobs N`) for campaigns and an
+//!   order-preserving map for other sweeps, both isolating run panics;
 //! * [`store`] — an append-only JSONL result store; each completed run is
 //!   written atomically (one `write` per line) and restarting a campaign
 //!   skips ids already on disk;

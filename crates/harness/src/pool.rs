@@ -1,13 +1,15 @@
-//! The sharded worker pool.
+//! The sharded worker pool, and the fan-out of every other multi-run
+//! command: [`map_isolated`], an order-preserving map on every core with
+//! each item isolated, so a panic becomes a result.
 //!
 //! `run_campaign` expands the spec, subtracts the run ids already recorded
 //! in the store (resume), and executes the remainder on `jobs` OS threads
 //! pulling from a shared work queue. Design points:
 //!
-//! * **Panic isolation** — each run executes under
-//!   `std::panic::catch_unwind`; a panicking kernel produces a
-//!   [`RunStatus::Panic`] record (message, panic *location*, and the full
-//!   configuration echo) and the campaign keeps going.
+//! * **Panic isolation** — each run executes under `isolate`; a
+//!   panicking kernel produces a [`RunStatus::Panic`] record (message,
+//!   panic *location*, and the full configuration echo) and the campaign
+//!   keeps going.
 //! * **Quarantine** — a configuration key (`bench|opts`) that panics
 //!   [`CampaignOptions::quarantine_after`] consecutive times is
 //!   quarantined: a marker row is persisted, remaining runs of that key
@@ -39,11 +41,11 @@ use crate::grid::{CampaignSpec, RunDescriptor};
 use crate::progress::Progress;
 use crate::runner::{self, RunRecord, RunStatus};
 use crate::store::ResultStore;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
@@ -143,7 +145,6 @@ pub fn run_campaign_with(
 ) -> io::Result<CampaignSummary> {
     let jobs = options.jobs;
     assert!(jobs > 0, "need at least one worker");
-    install_panic_location_hook();
     let start = Instant::now();
     let deadline =
         (options.wall_budget_ms > 0).then(|| start + Duration::from_millis(options.wall_budget_ms));
@@ -214,10 +215,8 @@ pub fn run_campaign_with(
                 if tx.send(Msg::Started(desc.run_id.clone())).is_err() {
                     break; // coordinator gone
                 }
-                let record = catch_unwind(AssertUnwindSafe(|| {
-                    runner::execute(&desc, campaign, Some(cancel))
-                }))
-                .unwrap_or_else(|payload| panic_record(&desc, campaign, &payload));
+                let record = isolate(|| runner::execute(&desc, campaign, Some(cancel)))
+                    .unwrap_or_else(|msg| panic_record(&desc, campaign, msg));
                 // Update the panic streak *before* the next pop, so a
                 // poisoned cell stops executing the moment the threshold is
                 // crossed.
@@ -311,7 +310,8 @@ pub fn run_campaign_with(
 }
 
 /// The configuration key quarantine operates on: a panic is a property of
-/// the (workload, optimization set) cell, not of one seed or latency.
+/// the (workload, optimization set, replacement policy, controller) cell,
+/// not of one seed or latency.
 fn quarantine_key(desc: &RunDescriptor) -> String {
     format!(
         "{}|{}|{}|{}",
@@ -337,14 +337,15 @@ enum Msg {
 
 thread_local! {
     /// Location of the most recent panic on this thread, captured by the
-    /// process-wide hook below and consumed by [`panic_record`].
+    /// process-wide hook below and consumed by [`isolate`].
     static LAST_PANIC_LOCATION: RefCell<Option<String>> = const { RefCell::new(None) };
+    /// Whether this thread is inside [`isolate`] (panics go unprinted).
+    static ISOLATED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs (once, process-wide) a panic hook that records the panic
-/// location into [`LAST_PANIC_LOCATION`] before delegating to the previous
-/// hook, so `catch_unwind`-based isolation can still attribute the panic
-/// to a source line.
+/// location into [`LAST_PANIC_LOCATION`], then delegates to the previous
+/// hook unless the panic is inside [`isolate`].
 fn install_panic_location_hook() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
@@ -354,30 +355,93 @@ fn install_panic_location_hook() {
                 .location()
                 .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
             LAST_PANIC_LOCATION.with(|cell| *cell.borrow_mut() = loc);
-            previous(info);
+            if !ISOLATED.get() {
+                previous(info);
+            }
         }));
     });
 }
 
-/// Builds the record for a run that escaped via panic: the payload
-/// message, the panic location (when the hook captured one), and a full
-/// echo of the descriptor's scientific coordinates, so the row alone
-/// reproduces the failing configuration.
-fn panic_record(
-    desc: &RunDescriptor,
+/// Runs `f`, turning a panic into `Err` carrying its message and its
+/// ` at file:line:col` location, without printing it.
+///
+/// # Errors
+///
+/// The panic's message, if `f` panicked.
+pub(crate) fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    install_panic_location_hook();
+    let outer = ISOLATED.replace(true);
+    let result = catch_unwind(AssertUnwindSafe(f));
+    ISOLATED.set(outer);
+    result.map_err(|payload| {
+        let mut msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        if let Some(loc) = LAST_PANIC_LOCATION.with(|cell| cell.borrow_mut().take()) {
+            msg.push_str(&format!(" at {loc}"));
+        }
+        msg
+    })
+}
+
+/// Applies `f` to every item on at most `available_parallelism` scoped
+/// threads, each call under `isolate`, and returns the results in input
+/// order, so output rendered from them does not depend on the core count.
+pub fn map_isolated<T: Sync, R: Send>(
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<Result<R, String>> {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break done };
+            done.push((i, isolate(|| f(item))));
+        }
+    };
+    let mut results: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cores.min(items.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let joined = workers
+            .into_iter()
+            .map(|w| w.join().expect("items run isolated"));
+        joined.flatten().collect()
+    });
+    results.sort_by_key(|(i, _)| *i);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Runs every descriptor through `run` on [`map_isolated`]; a run that
+/// panicked becomes its [`RunStatus::Panic`] record.
+pub fn run_all(
+    descs: &[RunDescriptor],
     campaign: &str,
-    payload: &(dyn std::any::Any + Send),
-) -> RunRecord {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    let location = LAST_PANIC_LOCATION.with(|cell| cell.borrow_mut().take());
-    let mut detail = msg;
-    if let Some(loc) = location {
-        detail.push_str(&format!(" at {loc}"));
-    }
+    run: impl Fn(&RunDescriptor) -> RunRecord + Sync,
+) -> Vec<RunRecord> {
+    let results = descs.iter().zip(map_isolated(descs, run));
+    results
+        .map(|(desc, result)| result.unwrap_or_else(|msg| panic_record(desc, campaign, msg)))
+        .collect()
+}
+
+/// Runs every descriptor through [`runner::execute`] on [`run_all`].
+#[must_use]
+pub fn execute_all(descs: &[RunDescriptor], campaign: &str) -> Vec<RunRecord> {
+    run_all(descs, campaign, |desc| {
+        runner::execute(desc, campaign, None)
+    })
+}
+
+/// Builds the record for a run that escaped via panic: the message and
+/// location [`isolate`] gave, and a full echo of the descriptor's
+/// scientific coordinates, so the row alone reproduces the failing
+/// configuration.
+fn panic_record(desc: &RunDescriptor, campaign: &str, mut detail: String) -> RunRecord {
     detail.push_str(&format!(
         " [bench={} opts={} fill_latency={} seed={} warmup={} budget={} max_cycles={}]",
         desc.bench,
@@ -404,5 +468,33 @@ mod tests {
         let key = quarantine_key(&desc);
         assert!(key.starts_with("m88k|"), "{key}");
         assert!(key.contains('|'), "{key}");
+    }
+
+    #[test]
+    fn map_isolated_returns_results_in_input_order() {
+        let items: Vec<u64> = (0..64).collect();
+        let got = map_isolated(&items, |&i| i * i);
+        let want: Vec<Result<u64, String>> = items.iter().map(|&i| Ok(i * i)).collect();
+        assert_eq!(got, want);
+        assert!(map_isolated(&[] as &[u64], |&i| i).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_item_fills_only_its_own_slot() {
+        let items: Vec<u32> = (0..8).collect();
+        let got = map_isolated(&items, |&i| {
+            assert!(i != 3, "item {i} is poisoned");
+            i + 100
+        });
+        assert_eq!(got.len(), items.len());
+        for (i, result) in got.iter().enumerate() {
+            if i == 3 {
+                let msg = result.as_ref().unwrap_err();
+                assert!(msg.starts_with("item 3 is poisoned at "), "{msg}");
+                assert!(msg.contains(".rs:"), "panic location missing: {msg}");
+            } else {
+                assert_eq!(result, &Ok(i as u32 + 100), "item {i}");
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Executes one [`RunDescriptor`]: program construction, warmup, the
-//! measured window, and the per-run watchdogs.
+//! Executes one [`RunDescriptor`]: program construction, then the one
+//! warmup-and-window path ([`run_program`]) with the per-run watchdogs.
 //!
 //! Two watchdogs bound every run:
 //!
@@ -76,6 +76,15 @@ impl RunStatus {
         match self {
             RunStatus::SimError(d) | RunStatus::Panic(d) | RunStatus::Quarantined(d) => Some(d),
             _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for RunStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.detail() {
+            Some(d) => write!(f, "{}: {d}", self.tag()),
+            None => f.write_str(self.tag()),
         }
     }
 }
@@ -374,7 +383,8 @@ fn advance(
     }
 }
 
-/// Executes one run to completion (or watchdog) and returns its record.
+/// Executes one run to completion (or watchdog) and returns its record:
+/// [`build_program`] and [`sim_config`] of `desc`, then [`run_program`].
 ///
 /// Never panics on simulator errors — they land in
 /// [`RunStatus::SimError`]. Panics from kernel/assembler bugs (or the
@@ -382,26 +392,33 @@ fn advance(
 #[must_use]
 pub fn execute(desc: &RunDescriptor, campaign: &str, cancel: Option<&AtomicBool>) -> RunRecord {
     let start = Instant::now();
-    let deadline = start + std::time::Duration::from_millis(desc.wall_limit_ms);
-
     assert!(
         desc.bench != "__panic__",
         "injected panic (test hook) in run {}",
         desc.run_id
     );
-
-    let mut record = RunRecord::empty(desc, campaign, RunStatus::Ok);
-
-    let prog = match build_program(desc) {
-        Ok(p) => p,
-        Err(e) => {
-            record.status = RunStatus::SimError(e);
-            record.wall_ms = start.elapsed().as_millis() as u64;
-            return record;
-        }
+    let mut record = match build_program(desc) {
+        Ok(prog) => run_program(desc, &prog, sim_config(desc), campaign, cancel).0,
+        Err(e) => RunRecord::empty(desc, campaign, RunStatus::SimError(e)),
     };
+    record.wall_ms = start.elapsed().as_millis() as u64;
+    record
+}
 
-    let mut sim = Simulator::new(&prog, sim_config(desc));
+/// Runs `prog` on the machine `cfg` for `desc`'s warmup and measured
+/// window under `desc`'s watchdogs, and returns the record with the
+/// finished simulator. Simulator errors land in [`RunStatus::SimError`].
+pub fn run_program(
+    desc: &RunDescriptor,
+    prog: &Program,
+    cfg: SimConfig,
+    campaign: &str,
+    cancel: Option<&AtomicBool>,
+) -> (RunRecord, Simulator) {
+    let start = Instant::now();
+    let deadline = start + std::time::Duration::from_millis(desc.wall_limit_ms);
+    let mut record = RunRecord::empty(desc, campaign, RunStatus::Ok);
+    let mut sim = Simulator::new(prog, cfg);
 
     // Warmup: trace cache, bias table and predictor state need a long
     // run-in before the steady state is representative.
@@ -410,7 +427,7 @@ pub fn execute(desc: &RunDescriptor, campaign: &str, cancel: Option<&AtomicBool>
         record.status = status;
         record.stats = sim.stats();
         record.wall_ms = start.elapsed().as_millis() as u64;
-        return record;
+        return (record, sim);
     }
 
     let (c0, r0) = (sim.cycle(), sim.stats().retired);
@@ -434,7 +451,7 @@ pub fn execute(desc: &RunDescriptor, campaign: &str, cancel: Option<&AtomicBool>
         Phase::Failed(status) => status,
     };
     record.wall_ms = start.elapsed().as_millis() as u64;
-    record
+    (record, sim)
 }
 
 #[cfg(test)]

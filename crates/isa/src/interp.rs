@@ -162,11 +162,6 @@ impl Interp {
         &self.mem
     }
 
-    /// Mutable access to the memory image (for test setup).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// The I/O channels.
     pub fn io(&self) -> &IoCtx {
         &self.io

@@ -169,12 +169,6 @@ impl Op {
         self.kind() == OpKind::System
     }
 
-    /// Whether the `imm` field of an instruction with this opcode holds a
-    /// 16-bit immediate that is *zero*-extended (the logical immediates).
-    pub fn imm_is_zero_extended(self) -> bool {
-        matches!(self, Op::Andi | Op::Ori | Op::Xori | Op::Lui)
-    }
-
     /// Whether an instruction with this opcode uses its `imm` field at all.
     pub fn has_imm(self) -> bool {
         use Op::*;

@@ -64,16 +64,6 @@ impl ArchReg {
         ArchReg(n)
     }
 
-    /// Creates a register from a raw index, returning `None` when the index
-    /// is out of range.
-    pub fn from_index(n: usize) -> Option<ArchReg> {
-        if n < NUM_ARCH_REGS {
-            Some(ArchReg(n as u8))
-        } else {
-            None
-        }
-    }
-
     /// The raw index of this register, in `0..32`.
     pub fn index(self) -> usize {
         self.0 as usize

@@ -550,35 +550,25 @@ impl Simulator {
     /// for a long stretch, or [`SimError::Oracle`] for faults in the
     /// program itself.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
-        let budget = self.cycle.saturating_add(max_cycles);
-        while self.cycle < budget {
-            if let Some(h) = self.halted {
-                return Ok(Self::halt_exit(h));
-            }
-            self.step_cycle()?;
-        }
-        if let Some(h) = self.halted {
-            return Ok(Self::halt_exit(h));
-        }
-        Ok(RunExit::CycleLimit)
+        self.run_budgeted(u64::MAX, max_cycles, None)
     }
 
-    /// Runs until `n` more instructions retire, the program exits, or the
-    /// watchdog fires. Used by benchmark harnesses that sample fixed
-    /// instruction budgets.
+    /// Runs until `n` more instructions retire or the program exits. Used
+    /// by benchmark harnesses that sample fixed instruction budgets.
+    ///
+    /// Returns `Ok(RunExit::CycleLimit)` once the `n` instructions have
+    /// retired, even if the program halted in that same cycle (the next
+    /// call reports the halt); the halt only if it came short of `n`.
     ///
     /// # Errors
     ///
     /// As for [`run`](Self::run).
     pub fn run_instrs(&mut self, n: u64) -> Result<RunExit, SimError> {
-        let target = self.stats.retired + n;
-        while self.stats.retired < target {
-            if let Some(h) = self.halted {
-                return Ok(Self::halt_exit(h));
-            }
-            self.step_cycle()?;
+        let target = self.stats.retired.saturating_add(n);
+        match self.run_budgeted(n, u64::MAX, None)? {
+            _ if self.stats.retired >= target => Ok(RunExit::CycleLimit),
+            exit => Ok(exit),
         }
-        Ok(RunExit::CycleLimit)
     }
 
     /// Runs until `max_instrs` more instructions retire, `max_cycles` more
@@ -605,8 +595,10 @@ impl Simulator {
         let instr_target = self.stats.retired.saturating_add(max_instrs);
         let cycle_target = self.cycle.saturating_add(max_cycles);
         loop {
-            if let Some(h) = self.halted {
-                return Ok(Self::halt_exit(h));
+            match self.halted {
+                Some(Halt::Exited(code)) => return Ok(RunExit::Exited(code)),
+                Some(Halt::Break) => return Ok(RunExit::Break),
+                None => {}
             }
             if self.stats.retired >= instr_target {
                 return Ok(RunExit::InstrLimit);
@@ -628,13 +620,6 @@ impl Simulator {
     /// How often (in cycles) [`run_budgeted`](Self::run_budgeted) polls its
     /// cancellation flag.
     pub const CANCEL_POLL_CYCLES: u64 = 1024;
-
-    fn halt_exit(h: Halt) -> RunExit {
-        match h {
-            Halt::Exited(code) => RunExit::Exited(code),
-            Halt::Break => RunExit::Break,
-        }
-    }
 
     /// Simulates one cycle.
     ///

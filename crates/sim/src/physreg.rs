@@ -150,11 +150,6 @@ impl PhysFile {
     pub fn free_count(&self) -> usize {
         self.free.len()
     }
-
-    /// Live reference count of `p` (test hook).
-    pub fn refcount(&self, p: PhysReg) -> u32 {
-        self.refcnt[p.0 as usize]
-    }
 }
 
 #[cfg(test)]

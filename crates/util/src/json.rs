@@ -155,17 +155,6 @@ impl Json {
         }
     }
 
-    /// Numeric payload as `i64`, if representable.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(v) => Some(v),
-            Json::UInt(v) => i64::try_from(v).ok(),
-            Json::Float(v) if v.fract() == 0.0 && v.abs() <= i64::MAX as f64 => Some(v as i64),
-            _ => None,
-        }
-    }
-
     /// Numeric payload as `f64`.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {

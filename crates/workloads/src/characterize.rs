@@ -47,11 +47,6 @@ pub fn characterize(program: &Program, max_instrs: u64) -> Characteristics {
     characterize_after(program, 4_000, max_instrs)
 }
 
-/// [`characterize`] with no warmup (diagnostics).
-pub fn characterize_from(program: &Program) -> Characteristics {
-    characterize_after(program, 0, 100_000)
-}
-
 /// [`characterize`] with an explicit warmup prefix to skip.
 ///
 /// # Panics

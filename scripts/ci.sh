@@ -81,6 +81,9 @@ cmp "$SMOKE_DIR/ledger.json" "$GOLDEN/ledger.json"
 cargo run --release -q -p tracefill-bench --bin tracefill -- \
     run "$SMOKE_DIR/smoke.s" --replace trrip --json > "$SMOKE_DIR/trrip.json"
 
+echo "==> ablations benchmark (run_with through the harness runner)"
+TRACEFILL_WARMUP=500 TRACEFILL_BUDGET=500 cargo bench -q -p tracefill-bench --bench ablations
+
 echo "==> cargo doc (no warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
 

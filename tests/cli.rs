@@ -258,6 +258,25 @@ fn a_closed_stdout_ends_the_process_without_a_panic() {
     }
 }
 
+/// `verify` passes a run only if it ends `ok`: one stopped by the cycle
+/// watchdog before its budget fails the command, naming the status.
+#[test]
+fn verify_fails_a_run_stopped_by_the_cycle_limit() {
+    let dir = scratch("verify-cycle-limit");
+    let prog = smoke_program(&dir);
+    let out = bin()
+        .args(["verify", prog.to_str().unwrap(), "--opts", "all"])
+        .args(["--max-cycles", "50"])
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("FAIL") && err.contains("cycle-limit"), "{err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.contains("PASS"), "{text}");
+    assert!(text.contains("1 failed"), "{text}");
+}
+
 #[test]
 fn trace_rejects_ledger_without_chrome_format() {
     let dir = scratch("trace-ledger-jsonl");

@@ -855,8 +855,10 @@ fn cmd_ledger(args: &[String]) {
     let ledgers = pool::map_isolated(&spec.expand(), |desc| {
         let prog = runner::build_program(desc)?;
         let (rec, sim) = runner::run_program(desc, &prog, runner::sim_config(desc), "ledger", None);
-        if let RunStatus::SimError(e) = rec.status {
-            return Err(format!("simulation error: {e}"));
+        // A ledger covers the whole requested run or nothing: a run cut
+        // short by a watchdog would report a partial one.
+        if !rec.status.is_ok() {
+            return Err(format!("run ended {}", rec.status));
         }
         let rep = sim.ledger().report(sim.cycle(), top);
         let human = tracefill_core::ledger::render_report(&desc.bench, &rep);

@@ -90,10 +90,7 @@ impl Simulator {
             // Mispredicted. If the trace's embedded path was right and its
             // blocks were issued inactively, activate them instead of
             // refetching (paper §3, inactive issue).
-            let has_matching_shadow = self
-                .shadows
-                .get(&id)
-                .is_some_and(|_| b.embedded == Some(actual));
+            let has_matching_shadow = b.embedded == Some(actual) && self.shadow_of(id).is_some();
             if has_matching_shadow {
                 self.activate_shadow(id);
             } else {
@@ -189,7 +186,7 @@ impl Simulator {
         let b = self.apply_scadd(u, 1, u.srcs[1].map(|p| self.phys.value(p)).unwrap_or(0));
         let addr = effective_addr(u.op, a, b, u.imm);
         let lo = addr;
-        let hi = addr.wrapping_add(m.size);
+        let hi = addr.wrapping_add(u32::from(m.size));
 
         // Scan the older in-flight stores; the youngest overlapping one
         // decides.
@@ -205,7 +202,7 @@ impl Simulator {
                 return LoadAction::Blocked(store);
             };
             let olo = oaddr;
-            let ohi = oaddr.wrapping_add(om.size);
+            let ohi = oaddr.wrapping_add(u32::from(om.size));
             let overlap = olo < hi && lo < ohi;
             if !overlap {
                 continue;
@@ -291,7 +288,8 @@ impl Simulator {
                     }
                     LoadAction::Memory => {
                         let lat = self.hier.access(Side::Data, addr);
-                        (self.mem.read_sized(addr, u.mem.as_ref().unwrap().size), lat)
+                        let size = u.mem.as_ref().unwrap().size;
+                        (self.mem.read_sized(addr, u32::from(size)), lat)
                     }
                     LoadAction::Blocked(_) => unreachable!("select parks blocked loads"),
                 };
@@ -326,8 +324,8 @@ impl Simulator {
             bctx.actual_next = next;
         }
         let dest = u.dest;
-        let aliased = u.aliased;
-        if let (Some((_, p)), Some(v), false) = (dest, value, aliased) {
+        let is_move = u.is_move;
+        if let (Some((_, p)), Some(v), false) = (dest, value, is_move) {
             self.phys.write(p, v, done, cluster);
             self.wake_waiters(p);
         }

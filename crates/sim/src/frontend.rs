@@ -3,7 +3,9 @@
 use crate::machine::Simulator;
 use crate::observe::Event;
 use crate::tracelog::Event as Pipe;
-use crate::uop::{BranchFetchMeta, FetchBundle, FetchSlot, ShadowResume};
+use crate::uop::{BranchFetchMeta, FetchBundle, FetchSlot, ShadowResume, SlotSource};
+use std::collections::VecDeque;
+use std::sync::Arc;
 use tracefill_core::segment::Segment;
 use tracefill_core::tcache::TcHit;
 use tracefill_isa::encode::decode;
@@ -79,18 +81,17 @@ impl Simulator {
         }
     }
 
-    /// Builds a bundle from a trace cache line.
+    /// Builds a bundle from a trace cache line. Each slot names its
+    /// instruction by position in the line; issue reads the rest there.
     fn fetch_from_line(
         &mut self,
         hit: TcHit,
         preds: &[tracefill_uarch::pht::Prediction; 3],
     ) -> Option<FetchBundle> {
-        let seg: &Segment = &hit.seg;
-        let mut slots = Vec::with_capacity(seg.slots.len());
+        let seg: &Arc<Segment> = &hit.seg;
+        let mut slots = self.slot_buffer();
         let mut diverge_at: Option<usize> = None;
         let mut pred_idx = 0usize;
-        let mut shadow_ras_pushes = Vec::new();
-        let mut shadow_ghr = Vec::new();
         let mut truncated = false;
         let mut next_fetch: Option<u32> = None;
 
@@ -118,9 +119,7 @@ impl Simulator {
                     pred_idx += 1;
                     (if in_shadow { embedded } else { p.taken }, Some(p))
                 };
-                if in_shadow {
-                    shadow_ghr.push(embedded);
-                } else {
+                if !in_shadow {
                     if !promoted {
                         self.predictor.push_history(pred_taken);
                     }
@@ -165,38 +164,19 @@ impl Simulator {
                     ras_snap,
                     ghr_snap,
                 });
-                if s.op == Op::Jalr {
-                    if in_shadow {
-                        shadow_ras_pushes.push(s.pc.wrapping_add(4));
-                    } else {
-                        self.ras.push(s.pc.wrapping_add(4));
-                    }
-                }
-            } else if s.op == Op::Jal {
-                if in_shadow {
-                    shadow_ras_pushes.push(s.pc.wrapping_add(4));
-                } else {
+                if s.op == Op::Jalr && !in_shadow {
                     self.ras.push(s.pc.wrapping_add(4));
                 }
+            } else if s.op == Op::Jal && !in_shadow {
+                self.ras.push(s.pc.wrapping_add(4));
             }
 
-            slots.push(FetchSlot {
-                pc: s.pc,
-                instr: s.orig,
-                op: s.op,
-                imm: s.imm,
-                scadd: s.scadd,
-                srcs: s.srcs,
-                dest: s.dest,
-                is_move: s.is_move,
-                move_src: s.move_src,
+            slots.push_back(FetchSlot {
+                src: SlotSource::Line(Arc::clone(seg), i as u8),
                 fu: seg.issue_pos[i],
-                reassociated: s.reassociated,
-                from_tc: true,
                 miss_head: false,
                 inactive: in_shadow,
                 branch: branch_meta,
-                seg: Some(hit.seg.clone()),
             });
         }
 
@@ -216,12 +196,13 @@ impl Simulator {
                 Some(pc) => self.fetch_pc = pc,
                 None => {
                     // Segment ends in an indirect jump: predicted at fetch.
-                    let last = slots.last_mut().expect("segment has slots");
+                    let last = slots.back().expect("segment has slots");
+                    let last_pc = seg.slots.last().expect("segment has slots").pc;
                     let target = last
                         .branch
                         .as_ref()
                         .and_then(|b| b.pred_target)
-                        .unwrap_or(last.pc.wrapping_add(4));
+                        .unwrap_or(last_pc.wrapping_add(4));
                     self.fetch_pc = target;
                 }
             }
@@ -231,9 +212,15 @@ impl Simulator {
             slots,
             diverge_at,
             shadow_resume,
-            shadow_ras_pushes,
-            shadow_ghr,
         })
+    }
+
+    /// An empty slot buffer for a new bundle: the last issued bundle's,
+    /// when there is one.
+    fn slot_buffer(&mut self) -> VecDeque<FetchSlot> {
+        let mut slots = std::mem::take(&mut self.slot_buf);
+        slots.reserve(self.cfg.fetch_width);
+        slots
     }
 
     /// Predicts the target of an indirect jump at fetch time: returns use
@@ -260,7 +247,7 @@ impl Simulator {
         let to_line_end = ((line_bytes - (pc & (line_bytes - 1))) / 4) as usize;
         let max = self.cfg.fetch_width.min(to_line_end).max(1);
 
-        let mut slots: Vec<FetchSlot> = Vec::new();
+        let mut slots = self.slot_buffer();
         let mut next_fetch = pc;
         for i in 0..max {
             let cur = pc.wrapping_add(4 * i as u32);
@@ -270,10 +257,6 @@ impl Simulator {
                 // will flag at retire). Stop the block here.
                 break;
             };
-            let mut srcs = [None, None];
-            for (k, r) in instr.srcs().enumerate() {
-                srcs[k] = Some(tracefill_core::segment::SrcRef::LiveIn(r));
-            }
             let mut branch_meta = None;
             let mut stop = false;
             next_fetch = cur.wrapping_add(4);
@@ -332,23 +315,12 @@ impl Simulator {
                 _ => {}
             }
 
-            slots.push(FetchSlot {
-                pc: cur,
-                instr,
-                op: instr.op,
-                imm: instr.imm,
-                scadd: None,
-                srcs,
-                dest: instr.dest(),
-                is_move: false,
-                move_src: None,
+            slots.push_back(FetchSlot {
+                src: SlotSource::Raw(cur, instr),
                 fu: (slots.len() % self.cfg.num_fus()) as u8,
-                reassociated: false,
-                from_tc: false,
                 miss_head: i == 0,
                 inactive: false,
                 branch: branch_meta,
-                seg: None,
             });
             if stop {
                 break;
@@ -356,6 +328,7 @@ impl Simulator {
         }
         if slots.is_empty() {
             // Nothing decodable at this PC; wait for a redirect.
+            self.slot_buf = slots;
             return None;
         }
         self.fetch_pc = next_fetch;
@@ -363,8 +336,6 @@ impl Simulator {
             slots,
             diverge_at: None,
             shadow_resume: ShadowResume::Pc(0),
-            shadow_ras_pushes: Vec::new(),
-            shadow_ghr: Vec::new(),
         })
     }
 }

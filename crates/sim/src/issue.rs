@@ -10,7 +10,7 @@ use crate::machine::{Checkpoint, PendingIssue, ShadowBuild, Simulator};
 use crate::observe::Event;
 use crate::physreg::{PhysFile, PhysReg};
 use crate::tracelog::Event as Pipe;
-use crate::uop::{BranchCtx, FetchSlot, MemState, Uop, UopState};
+use crate::uop::{BranchCtx, FetchSlot, MemState, SlotSource, Uop, UopState};
 use tracefill_core::segment::SrcRef;
 use tracefill_isa::op::OpKind;
 use tracefill_isa::Op;
@@ -25,12 +25,12 @@ impl Simulator {
             let Some(bundle) = self.fetch_buffer.take() else {
                 return;
             };
-            let n = bundle.slots.len();
+            self.line_phys.clear();
+            self.line_phys.resize(bundle.slots.len(), None);
             self.pending = Some(PendingIssue {
                 bundle,
                 next: 0,
                 entry_rat: self.rat,
-                line_phys: vec![None; n],
                 shadow: None,
             });
         }
@@ -43,10 +43,10 @@ impl Simulator {
             let Some(p) = self.pending.as_ref() else {
                 return;
             };
-            if p.next >= p.bundle.slots.len() {
+            let Some(slot) = p.bundle.slots.front() else {
                 self.finish_bundle();
                 return;
-            }
+            };
             if issued >= self.cfg.fetch_width {
                 return;
             }
@@ -56,8 +56,8 @@ impl Simulator {
                 self.cpi_flags.issue_backpressure = true;
                 return;
             }
-            let slot = p.bundle.slots[p.next].clone();
-            let needs_ckpt = !slot.inactive && (slot.op.is_cond_branch() || slot.op.is_indirect());
+            let line = slot.src.line();
+            let needs_ckpt = !slot.inactive && (line.op.is_cond_branch() || line.op.is_indirect());
             if needs_ckpt {
                 if ckpts >= self.cfg.checkpoints_per_cycle {
                     return;
@@ -67,19 +67,21 @@ impl Simulator {
                     return;
                 }
             }
-            let needs_rs = !slot.is_move
-                && !matches!(slot.op.kind(), OpKind::System)
-                && !matches!(slot.op, Op::J | Op::Jal);
+            let needs_rs = !line.is_move
+                && !matches!(line.op.kind(), OpKind::System)
+                && !matches!(line.op, Op::J | Op::Jal);
             if needs_rs && self.sched.occupancy(slot.fu) >= self.cfg.rs_per_fu {
                 self.cpi_flags.issue_backpressure = true;
                 return;
             }
-            if !slot.is_move && slot.dest.is_some() && self.phys.free_count() == 0 {
+            if !line.is_move && line.dest.is_some() && self.phys.free_count() == 0 {
                 self.cpi_flags.issue_backpressure = true;
                 return;
             }
 
-            self.issue_slot(&slot);
+            let p = self.pending.as_mut().unwrap();
+            let slot = p.bundle.slots.pop_front().expect("checked above");
+            self.issue_slot(slot);
             issued += 1;
             if needs_ckpt {
                 ckpts += 1;
@@ -89,34 +91,45 @@ impl Simulator {
         }
     }
 
-    /// Finalizes a fully issued bundle: registers the shadow, if any.
+    /// Finalizes a fully issued bundle: registers the shadow, if any, and
+    /// hands the emptied slot buffer back to fetch.
     fn finish_bundle(&mut self) {
         let p = self.pending.take().expect("pending bundle");
         if let Some(sb) = p.shadow {
             if !sb.uops.is_empty() {
-                self.shadows.insert(
-                    sb.anchor,
-                    crate::machine::Shadow {
-                        anchor: sb.anchor,
-                        uops: sb.uops,
-                        rat: sb.rat,
-                        branch_snaps: sb.branch_snaps,
-                        resume: p.bundle.shadow_resume,
-                    },
-                );
+                debug_assert!(self.shadows.last().is_none_or(|s| s.anchor < sb.anchor));
+                self.shadows.push(crate::machine::Shadow {
+                    anchor: sb.anchor,
+                    uops: sb.uops,
+                    rat: sb.rat,
+                    branch_snaps: sb.branch_snaps,
+                    resume: p.bundle.shadow_resume,
+                });
             }
         }
+        debug_assert!(p.bundle.slots.is_empty());
+        self.slot_buf = p.bundle.slots;
     }
 
-    /// Renames and dispatches one slot.
-    fn issue_slot(&mut self, slot: &FetchSlot) {
+    /// Renames and dispatches one slot, building its uop once, in the
+    /// uop table.
+    fn issue_slot(&mut self, slot: FetchSlot) {
+        let FetchSlot {
+            src,
+            fu,
+            miss_head,
+            inactive: in_shadow,
+            branch,
+        } = slot;
         let id = self.new_uop_id();
-        let in_shadow = slot.inactive;
+        let from_tc = matches!(src, SlotSource::Line(..));
+        let line = src.line();
+        let (pc, op) = (line.pc, line.op);
 
         let mut srcs = [None, None];
-        for (k, s) in slot.srcs.iter().enumerate() {
+        for (k, s) in line.srcs.iter().enumerate() {
             if let Some(r) = *s {
-                let p = self.resolve_src(r, slot.from_tc);
+                let p = self.resolve_src(r, from_tc);
                 // Consumers hold their sources live until they retire:
                 // with trace-line entry-state live-ins, a rewritten
                 // consumer can be younger than the overwriter of its
@@ -128,26 +141,24 @@ impl Simulator {
         }
 
         // Destination mapping.
-        let mut aliased = false;
         let mut dest = None;
         let mut prev_phys = None;
-        if slot.is_move {
-            let src_loc = slot.move_src.expect("marked move carries its source");
-            let p = self.resolve_src(src_loc, slot.from_tc);
+        if line.is_move {
+            let src_loc = line.move_src.expect("marked move carries its source");
+            let p = self.resolve_src(src_loc, from_tc);
             self.phys.acquire(p);
-            aliased = true;
-            let d = slot.dest.expect("moves have destinations");
+            let d = line.dest.expect("moves have destinations");
             let rat = self.current_rat_mut(in_shadow);
             prev_phys = Some(rat[d.index()]);
             rat[d.index()] = p;
             dest = Some((d, p));
-        } else if let Some(d) = slot.dest {
+        } else if let Some(d) = line.dest {
             let p = self.alloc_phys();
             let rat = self.current_rat_mut(in_shadow);
             prev_phys = Some(rat[d.index()]);
             rat[d.index()] = p;
             dest = Some((d, p));
-        } else if slot.op == Op::Syscall {
+        } else if op == Op::Syscall {
             // A syscall may write `$v0` (READ_INT); rename it so move
             // aliases of the old mapping keep their value.
             let d = tracefill_isa::ArchReg::V0;
@@ -160,132 +171,128 @@ impl Simulator {
 
         // Direct jumps complete at issue: the link value is deterministic.
         let mut state = UopState::Waiting;
-        if slot.is_move || matches!(slot.op, Op::J | Op::Jal) {
+        if line.is_move || matches!(op, Op::J | Op::Jal) {
             state = UopState::Done;
-            if matches!(slot.op, Op::Jal) {
+            if matches!(op, Op::Jal) {
                 let (_, p) = dest.expect("jal writes $ra");
-                self.publish_arch(p, slot.pc.wrapping_add(4));
+                self.publish_arch(p, pc.wrapping_add(4));
             }
         }
         // Jalr's link value is also deterministic; only its target needs
         // execution.
-        if slot.op == Op::Jalr {
+        if op == Op::Jalr {
             if let Some((_, p)) = dest {
-                self.publish_arch(p, slot.pc.wrapping_add(4));
+                self.publish_arch(p, pc.wrapping_add(4));
             }
         }
 
-        // Branch context.
-        let branch = slot.branch.as_ref().map(|m| BranchCtx {
-            pred_taken: m.pred_taken,
-            pred_target: m.pred_target,
-            prediction: m.prediction,
-            promoted: m.promoted,
-            embedded: m.embedded,
-            checkpoint: None,
-            actual_taken: None,
-            actual_next: None,
-            resolved: false,
-        });
-
-        // Memory context.
-        let mem = slot.op.access_size().map(|size| MemState {
-            is_load: slot.op.is_load(),
-            size,
-            addr: None,
-            value: 0,
-            forwarded: false,
-        });
-
-        let mut uop = Uop {
-            id,
-            pc: slot.pc,
-            instr: slot.instr,
-            op: slot.op,
-            imm: slot.imm,
-            scadd: slot.scadd,
-            srcs,
-            dest,
-            prev_phys,
-            aliased,
-            fu: slot.fu,
-            state,
-            branch,
-            mem,
-            from_tc: slot.from_tc,
-            miss_head: slot.miss_head,
-            is_move: slot.is_move,
-            reassociated: slot.reassociated,
-            inactive: in_shadow,
-            mem_deferred: in_shadow && slot.op.access_size().is_some(),
-            bypass_delayed: false,
-            fu_executed: false,
-            seg: slot.seg.clone(),
+        // Branch context. An active branch or indirect jump also takes a
+        // checkpoint, which takes over the fetch-time snapshots.
+        let is_branch = op.is_cond_branch() || op.is_indirect();
+        let branch = match branch {
+            Some(m) => {
+                if !in_shadow && is_branch {
+                    debug_assert!(self.checkpoints.back().is_none_or(|c| c.branch < id));
+                    self.checkpoints.push_back(Checkpoint {
+                        branch: id,
+                        rat: self.rat,
+                        ras: m.ras_snap,
+                        ghr: m.ghr_snap,
+                    });
+                }
+                Some(BranchCtx {
+                    pred_taken: m.pred_taken,
+                    pred_target: m.pred_target,
+                    prediction: m.prediction,
+                    promoted: m.promoted,
+                    embedded: m.embedded,
+                    actual_taken: None,
+                    actual_next: None,
+                    resolved: false,
+                })
+            }
+            None => {
+                assert!(in_shadow || !is_branch, "branch slot carries metadata");
+                None
+            }
         };
-
-        // Checkpoints for active branches and indirect jumps.
-        if !in_shadow && (slot.op.is_cond_branch() || slot.op.is_indirect()) {
-            let meta = slot.branch.as_ref().expect("branch slot carries metadata");
-            let ckpt_id = self.next_ckpt_id;
-            self.next_ckpt_id += 1;
-            debug_assert!(self.checkpoints.back().is_none_or(|c| c.branch < id));
-            self.checkpoints.push_back(Checkpoint {
-                id: ckpt_id,
-                branch: id,
-                rat: self.rat,
-                ras: meta.ras_snap.clone(),
-                ghr: meta.ghr_snap,
-            });
-            if let Some(b) = uop.branch.as_mut() {
-                b.checkpoint = Some(ckpt_id);
-            }
-        }
 
         // Serializing ops: halt the front end until retirement; they are
         // executed at retire, not dispatched. Inactive system ops only
         // serialize if their shadow is activated.
-        if uop.is_system() && !in_shadow {
+        let is_system = matches!(op, Op::Syscall | Op::Break);
+        if is_system && !in_shadow {
             self.serialize = Some(id);
         }
+        let needs_rs = !line.is_move && !is_system && !matches!(op, Op::J | Op::Jal);
+        let mem = op.access_size().map(|size| MemState {
+            is_load: op.is_load(),
+            size: u8::try_from(size).expect("accesses are at most a word"),
+            addr: None,
+            value: 0,
+            forwarded: false,
+        });
+        let is_store = mem.is_some_and(|m| !m.is_load);
 
-        // Store queue (the station entry is made below, once the uop is
-        // in the table).
-        let needs_rs = !uop.is_move && !uop.is_system() && !matches!(uop.op, Op::J | Op::Jal);
-        if uop.mem.is_some_and(|m| !m.is_load) && !in_shadow {
+        // The uop itself, built once, in its table slot.
+        let (instr, imm, scadd) = (line.orig, line.imm, line.scadd);
+        let (is_move, reassociated) = (line.is_move, line.reassociated);
+        let seg = match src {
+            SlotSource::Line(seg, _) => Some(seg),
+            SlotSource::Raw(..) => None,
+        };
+        self.uops.insert(Uop {
+            id,
+            pc,
+            instr,
+            op,
+            imm,
+            scadd,
+            srcs,
+            dest,
+            prev_phys,
+            fu,
+            state,
+            branch,
+            mem,
+            from_tc,
+            miss_head,
+            is_move,
+            reassociated,
+            inactive: in_shadow,
+            mem_deferred: in_shadow && mem.is_some(),
+            bypass_delayed: false,
+            fu_executed: false,
+            seg,
+        });
+
+        // Store queue (the station entry is made below).
+        if is_store && !in_shadow {
             debug_assert!(self.stores.back().is_none_or(|&b| b < id));
             self.stores.push_back(id);
             self.sched.unaddressed.push(id);
         }
 
         // Bookkeeping: window (active) or shadow.
+        let pend = self.pending.as_mut().unwrap();
+        let next = pend.next;
         if in_shadow {
-            let is_branch = uop.op.is_cond_branch() || uop.op.is_indirect();
-            let pend = self.pending.as_mut().unwrap();
             let sb = pend.shadow.as_mut().expect("shadow context exists");
             sb.uops.push(id);
             if is_branch {
                 let rat = sb.rat;
                 sb.branch_snaps.push((id, rat));
             }
-            self.uops.insert(uop);
         } else {
             debug_assert!(self.window.back().is_none_or(|&b| b < id));
             self.window.push_back(id);
-            let starts_shadow = self
-                .pending
-                .as_ref()
-                .map(|p| p.bundle.diverge_at == Some(p.next))
-                .unwrap_or(false);
-            self.uops.insert(uop);
-            if starts_shadow {
+            if pend.bundle.diverge_at == Some(next) {
                 // Slots after this one rename into a copy of the current
                 // (post-branch) map.
-                let rat = self.rat;
-                let pend = self.pending.as_mut().unwrap();
                 pend.shadow = Some(ShadowBuild {
                     anchor: id,
                     uops: Vec::new(),
-                    rat,
+                    rat: self.rat,
                     branch_snaps: Vec::new(),
                 });
             }
@@ -296,15 +303,14 @@ impl Simulator {
         }
 
         // Record this slot's result location for later internal refs.
-        let pend = self.pending.as_mut().unwrap();
-        pend.line_phys[pend.next] = dest.map(|(_, p)| p);
+        self.line_phys[next] = dest.map(|(_, p)| p);
 
         self.observers.emit(
             self.cycle,
             Event::Pipeline(Pipe::Issue {
                 uop: id,
-                pc: slot.pc,
-                fu: slot.fu,
+                pc,
+                fu,
                 inactive: in_shadow,
             }),
         );
@@ -329,8 +335,9 @@ impl Simulator {
                     self.rat[reg.index()]
                 }
             }
-            SrcRef::Internal(pslot) => self.pending.as_ref().unwrap().line_phys[pslot as usize]
-                .expect("internal reference to un-issued slot"),
+            SrcRef::Internal(pslot) => {
+                self.line_phys[pslot as usize].expect("internal reference to un-issued slot")
+            }
         }
     }
 

@@ -21,16 +21,32 @@
 //! Uop ids come from one counter that only grows, and every structure
 //! that names uops keeps them in ascending id order, which is program
 //! order: the window, each functional unit's ready set, the store queue
-//! and its list of stores without an address, and the checkpoint list.
-//! Issue appends in id order. Shadow activation appends the shadow's
-//! uops only after `squash_younger` has removed everything younger than
-//! the anchor, so every id it appends is past the back. Removal keeps
-//! the order. The uop table, select, the memory scheduler, retirement
-//! and the window-position search rely on this: the oldest ready uop of
-//! a functional unit is the first entry of its ready set, a load's older
-//! stores are the queue's prefix below its id, a retiring uop's
-//! checkpoint is the front one, and `window_pos` and checkpoint lookup
-//! are binary searches. Every append asserts the order in debug builds.
+//! and its list of stores without an address, the checkpoint list and
+//! the shadow list (by anchor). Issue appends in id order. Shadow
+//! activation appends the shadow's uops only after `squash_younger` has
+//! removed everything younger than the anchor, so every id it appends is
+//! past the back. Removal keeps the order. The uop table, select, the
+//! memory scheduler, retirement and the window-position search rely on
+//! this: the oldest ready uop of a functional unit is the first entry of
+//! its ready set, a load's older stores are the queue's prefix below its
+//! id, a retiring uop's checkpoint is the front one, and `window_pos`,
+//! checkpoint and shadow lookup are binary searches. Every append
+//! asserts the order in debug builds.
+//!
+//! # Uop lifecycle
+//!
+//! A uop is built once and never copied. Fetch fills a reused slot
+//! buffer; a trace-cache slot names its instruction by position in the
+//! line it came from. Issue moves each slot out of its bundle and builds
+//! the uop in its slot of the uop table, a power-of-two ring indexed by
+//! `id & mask` over the span of live ids (grown by doubling), reading the
+//! executed form from the line and taking the line's `Arc` by move; an
+//! active branch's checkpoint takes the fetch-time return-stack snapshot
+//! by move too, and that snapshot is itself one reference count, since
+//! the return stack is copy on write. Squash, shadow discard and retire
+//! read the fields they need in place; then the table drops the uop where
+//! it lies and moves its base past empty slots. Nothing is popped out or
+//! returned.
 //!
 //! # Scheduling
 //!
@@ -55,8 +71,8 @@ use crate::physreg::{PhysFile, PhysReg};
 use crate::sched::Scheduler;
 use crate::stats::{Report, Stats};
 use crate::tracelog::TraceLog;
-use crate::uop::{FetchBundle, UopId, UopTable};
-use std::collections::{HashMap, VecDeque};
+use crate::uop::{FetchBundle, FetchSlot, UopId, UopTable};
+use std::collections::VecDeque;
 use std::fmt;
 use tracefill_core::fill::FillUnit;
 use tracefill_core::tcache::TraceCache;
@@ -73,10 +89,8 @@ use tracefill_uarch::pht::{HistorySnapshot, MultiBranchPredictor};
 use tracefill_uarch::ras::{RasSnapshot, ReturnStack};
 
 /// A checkpoint taken at a conditional branch or indirect jump.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Checkpoint {
-    #[allow(dead_code)] // diagnostic identity, shown in Debug dumps
-    pub id: u64,
     pub branch: UopId,
     pub rat: [PhysReg; NUM_ARCH_REGS],
     pub ras: RasSnapshot,
@@ -87,7 +101,6 @@ pub(crate) struct Checkpoint {
 #[derive(Debug)]
 pub(crate) struct Shadow {
     /// The divergence branch this shadow hangs off.
-    #[allow(dead_code)] // diagnostic identity, shown in Debug dumps
     pub anchor: UopId,
     /// Shadow uops in program order.
     pub uops: Vec<UopId>,
@@ -112,9 +125,6 @@ pub(crate) struct PendingIssue {
     /// raw instruction-cache slots resolve against the running RAT, since
     /// they carry no explicit dependency marking.
     pub entry_rat: [PhysReg; NUM_ARCH_REGS],
-    /// Physical destination of each already-issued slot (for `Internal`
-    /// dataflow references). Moves record their aliased register.
-    pub line_phys: Vec<Option<PhysReg>>,
     /// Shadow context under construction (slots past the divergence).
     pub shadow: Option<ShadowBuild>,
 }
@@ -244,6 +254,12 @@ pub struct Simulator {
     pub(crate) fetch_stall_until: u64,
     pub(crate) fetch_buffer: Option<FetchBundle>,
     pub(crate) pending: Option<PendingIssue>,
+    /// The pending bundle's physical destination of each already-issued
+    /// slot (for `Internal` dataflow references). Moves record their
+    /// aliased register. Kept across bundles to reuse its allocation.
+    pub(crate) line_phys: Vec<Option<PhysReg>>,
+    /// The last issued bundle's emptied slot buffer, for the next fetch.
+    pub(crate) slot_buf: VecDeque<FetchSlot>,
     /// Serializing uop in flight: fetch halts until it retires.
     pub(crate) serialize: Option<UopId>,
 
@@ -251,14 +267,14 @@ pub struct Simulator {
     pub(crate) rat: [PhysReg; NUM_ARCH_REGS],
     pub(crate) phys: PhysFile,
     pub(crate) next_uop_id: UopId,
-    pub(crate) next_ckpt_id: u64,
     /// Live checkpoints, in id order of their branches.
     pub(crate) checkpoints: VecDeque<Checkpoint>,
 
     // Window and backend.
     pub(crate) uops: UopTable,
     pub(crate) window: VecDeque<UopId>,
-    pub(crate) shadows: HashMap<UopId, Shadow>,
+    /// Inactive continuations, in id order of their anchors.
+    pub(crate) shadows: Vec<Shadow>,
     /// In-flight active stores (loads never wait here: the memory
     /// scheduler only asks which older stores a load must respect).
     pub(crate) stores: VecDeque<UopId>,
@@ -347,15 +363,16 @@ impl Simulator {
             fetch_stall_until: 0,
             fetch_buffer: None,
             pending: None,
+            line_phys: Vec::new(),
+            slot_buf: VecDeque::new(),
             serialize: None,
             rat,
             phys,
             next_uop_id: 0,
-            next_ckpt_id: 0,
             checkpoints: VecDeque::new(),
             uops: UopTable::default(),
             window: VecDeque::new(),
-            shadows: HashMap::new(),
+            shadows: Vec::new(),
             stores: VecDeque::new(),
             sched: Scheduler::new(&cfg),
             cycle: 0,

@@ -67,10 +67,10 @@ impl Simulator {
     /// path was right, its blocks are already renamed and possibly
     /// executed (paper §3, inactive issue).
     pub(crate) fn activate_shadow(&mut self, branch_id: UopId) {
-        let shadow = self
-            .shadows
-            .remove(&branch_id)
+        let i = self
+            .shadow_of(branch_id)
             .expect("activation requires a shadow");
+        let shadow = self.shadows.remove(i);
         self.squash_younger(branch_id);
         self.stats.inactive_rescues += 1;
 
@@ -143,21 +143,19 @@ impl Simulator {
             }
 
             if op.is_cond_branch() || op.is_indirect() {
-                let ckpt_id = self.next_ckpt_id;
-                self.next_ckpt_id += 1;
                 let rat = snap.expect("shadow branch has a rename snapshot");
                 debug_assert!(self.checkpoints.back().is_none_or(|c| c.branch < id));
                 self.checkpoints.push_back(crate::machine::Checkpoint {
-                    id: ckpt_id,
                     branch: id,
                     rat,
                     ras: ras_snap,
                     ghr: ghr_snap,
                 });
                 let (embedded, promoted, resolved, actual_taken, actual_next) = {
-                    let u = self.uops.get_mut(id).unwrap();
-                    let b = u.branch.as_mut().expect("branch uop has context");
-                    b.checkpoint = Some(ckpt_id);
+                    let b = self.uops[id]
+                        .branch
+                        .as_ref()
+                        .expect("branch uop has context");
                     (
                         b.embedded,
                         b.promoted,
@@ -230,9 +228,10 @@ impl Simulator {
     /// Discards the shadow owned by `branch_id`, if any (the prediction
     /// turned out correct, or the owner was squashed).
     pub(crate) fn drop_shadow(&mut self, branch_id: UopId) {
-        let Some(shadow) = self.shadows.remove(&branch_id) else {
+        let Some(i) = self.shadow_of(branch_id) else {
             return;
         };
+        let shadow = self.shadows.remove(i);
         for id in shadow.uops {
             self.stats.discarded_inactive_uops += 1;
             self.discard_uop(id);
@@ -246,26 +245,25 @@ impl Simulator {
         let pos = self
             .window_pos(branch_id)
             .expect("recovery anchor is in the window");
-        let mut squashed = 0u64;
-        for id in self.window.split_off(pos + 1) {
+        for i in pos + 1..self.window.len() {
+            let id = self.window[i];
             self.squash_uop(id);
-            squashed += 1;
         }
+        let mut squashed = (self.window.len() - pos - 1) as u64;
+        self.window.truncate(pos + 1);
 
         // Shadows anchored on squashed branches die with them, and a
         // partially issued bundle (with its shadow under construction) is
         // wrong-path by definition.
-        let mut owners: Vec<UopId> = self
-            .shadows
-            .keys()
-            .copied()
-            .filter(|&k| !self.uops.contains(k))
-            .collect();
-        owners.sort_unstable();
-        let mut inactive: Vec<UopId> = owners
-            .into_iter()
-            .flat_map(|k| self.shadows.remove(&k).expect("listed owner").uops)
-            .collect();
+        let mut inactive: Vec<UopId> = Vec::new();
+        let uops = &self.uops;
+        self.shadows.retain(|s| {
+            let live = uops.contains(s.anchor);
+            if !live {
+                inactive.extend_from_slice(&s.uops);
+            }
+            live
+        });
         if let Some(sb) = self.pending.take().and_then(|p| p.shadow) {
             inactive.extend(sb.uops);
         }
@@ -282,8 +280,8 @@ impl Simulator {
 
     /// Discards one squashed uop and tells the observers.
     fn squash_uop(&mut self, id: UopId) {
-        if let Some(u) = self.discard_uop(id) {
-            let seg = u.tc_seg();
+        if let Some(seg) = self.uops.get(id).map(Uop::tc_seg) {
+            self.discard_uop(id);
             self.observers.emit(self.cycle, Event::Squash { seg });
         }
     }
@@ -339,21 +337,29 @@ impl Simulator {
         self.rat = rat;
     }
 
-    /// Removes one uop, releases its destination mapping and drops its
-    /// result, returning the removed uop. Used for both squash and shadow
-    /// discard; the caller then calls
+    /// Releases one uop's station entry, source holds and destination
+    /// mapping, reading them in place, then drops it from the table. Used
+    /// for both squash and shadow discard; the caller then calls
     /// [`forget_discarded`](Self::forget_discarded) to fix up the shared
     /// structures.
-    fn discard_uop(&mut self, id: UopId) -> Option<Uop> {
-        let u = self.uops.remove(id)?;
-        self.unschedule(&u);
-        for p in u.srcs.into_iter().flatten() {
+    fn discard_uop(&mut self, id: UopId) {
+        let Some(u) = self.uops.get(id) else { return };
+        self.sched.unschedule(u);
+        for &p in u.srcs.iter().flatten() {
             self.phys.release(p);
         }
         if let Some((_, p)) = u.dest {
             self.phys.release(p);
         }
-        Some(u)
+        self.uops.remove(id);
+    }
+
+    /// The index of the shadow hanging off `branch`, if any (shadows are
+    /// kept in id order of their anchors).
+    pub(crate) fn shadow_of(&self, branch: UopId) -> Option<usize> {
+        self.shadows
+            .binary_search_by_key(&branch, |s| s.anchor)
+            .ok()
     }
 
     /// Removes and returns the checkpoint owned by `branch`, if any

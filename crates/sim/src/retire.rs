@@ -13,6 +13,11 @@ use tracefill_isa::syscall;
 use tracefill_isa::ArchReg;
 use tracefill_isa::Op;
 
+/// What [`Simulator::lockstep`] returns: nothing, or a mismatch with the
+/// oracle's record, boxed so that the common, clean retirement returns a
+/// small value.
+pub(crate) type Lockstep = Result<Option<Box<(DivergenceReport, Retired)>>, SimError>;
+
 /// How self-repair contains a divergence.
 enum Contain {
     /// Strict verification rejected a segment of provenance class
@@ -203,7 +208,8 @@ impl Simulator {
         self.echo_retire(id);
         // Oracle lockstep first: any divergence is a simulator bug or an
         // injected fault.
-        if let Some((site, oracle)) = self.lockstep(id)? {
+        if let Some(found) = self.lockstep(id)? {
+            let (site, oracle) = *found;
             return self.diverge(site, Contain::Restore { id, oracle });
         }
 
@@ -216,11 +222,10 @@ impl Simulator {
         let pred_taken = u.branch.as_ref().and_then(|b| b.pred_taken);
         let pred_target = u.branch.as_ref().and_then(|b| b.pred_target);
         let prediction = u.branch.as_ref().and_then(|b| b.prediction);
-        let store = u
-            .mem
-            .as_ref()
-            .filter(|m| !m.is_load)
-            .map(|m| (m.addr.expect("retired store has address"), m.size, m.value));
+        let store = u.mem.as_ref().filter(|m| !m.is_load).map(|m| {
+            let addr = m.addr.expect("retired store has address");
+            (addr, u32::from(m.size), m.value)
+        });
 
         // Stats.
         self.stats.retired += 1;
@@ -328,7 +333,8 @@ impl Simulator {
         // Oracle lockstep. The syscall already executed against the
         // pipeline's I/O above; on divergence, containment re-adopts the
         // oracle's I/O and halt state wholesale.
-        if let Some((site, oracle)) = self.lockstep(id)? {
+        if let Some(found) = self.lockstep(id)? {
+            let (site, oracle) = *found;
             return self.diverge(site, Contain::Restore { id, oracle });
         }
 
@@ -387,15 +393,16 @@ impl Simulator {
     }
 
     /// Steps the oracle through retiring uop `id` and, when the oracle
-    /// check is on, compares the uop's architectural effects with it. Returns the first mismatch, with the oracle's record, for
+    /// check is on, compares the uop's architectural effects with it.
+    /// Returns the first mismatch, with the oracle's record, for
     /// [`diverge`](Self::diverge) to decide. An oracle fault (bad program)
     /// is always fatal.
-    fn lockstep(&mut self, id: u64) -> Result<Option<(DivergenceReport, Retired)>, SimError> {
+    fn lockstep(&mut self, id: u64) -> Lockstep {
         let r = self.oracle.step().map_err(SimError::Oracle)?;
         if !self.cfg.oracle_check {
             return Ok(None);
         }
-        Ok(self.compare(id, &r).map(|site| (site, r)))
+        Ok(self.compare(id, &r).map(|site| Box::new((site, r))))
     }
 
     /// The first way retiring uop `id` disagrees with the oracle's record
@@ -438,7 +445,7 @@ impl Simulator {
             .mem
             .as_ref()
             .filter(|m| !m.is_load)
-            .map(|m| (m.addr.unwrap_or(0), m.size, m.value));
+            .map(|m| (m.addr.unwrap_or(0), u32::from(m.size), m.value));
         if sim_store != r.store {
             return Some(self.uop_site(
                 id,

@@ -215,6 +215,19 @@ impl Scheduler {
         let load = self.ready[fu].remove(0);
         self.parked.push((store, load));
     }
+
+    /// `u` leaves the machine unexecuted (squash or shadow discard): it
+    /// leaves its station and ready set.
+    pub(crate) fn unschedule(&mut self, u: &Uop) {
+        if u.state != UopState::Waiting || u.is_system() {
+            return;
+        }
+        let fu = u.fu as usize;
+        self.occupancy[fu] -= 1;
+        if let Ok(pos) = self.ready[fu].binary_search(&u.id) {
+            self.ready[fu].remove(pos);
+        }
+    }
 }
 
 /// The longest latency any uop can have under `cfg`: a fixed class
@@ -354,19 +367,6 @@ impl Simulator {
             } else {
                 i += 1;
             }
-        }
-    }
-
-    /// `u` left the machine unexecuted (squash or shadow discard): it
-    /// leaves its station and ready set.
-    pub(crate) fn unschedule(&mut self, u: &Uop) {
-        if u.state != UopState::Waiting || u.is_system() {
-            return;
-        }
-        let fu = u.fu as usize;
-        self.sched.occupancy[fu] -= 1;
-        if let Ok(pos) = self.sched.ready[fu].binary_search(&u.id) {
-            self.sched.ready[fu].remove(pos);
         }
     }
 }

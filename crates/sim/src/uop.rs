@@ -1,10 +1,11 @@
 //! In-flight micro-operations and fetch bundles.
 
 use crate::physreg::PhysReg;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Index;
 use std::sync::Arc;
-use tracefill_core::segment::{ScAdd, Segment, SrcRef};
+use tracefill_core::segment::{ScAdd, SegSlot, Segment, SrcRef};
 use tracefill_isa::{ArchReg, Instr, Op};
 use tracefill_uarch::pht::{HistorySnapshot, Prediction};
 use tracefill_uarch::ras::RasSnapshot;
@@ -31,8 +32,8 @@ pub enum UopState {
 pub struct MemState {
     /// Load (true) or store (false).
     pub is_load: bool,
-    /// Access size in bytes.
-    pub size: u32,
+    /// Access size in bytes (1, 2 or 4).
+    pub size: u8,
     /// Effective address, once generated.
     pub addr: Option<u32>,
     /// Store data (captured at execute) or loaded value.
@@ -54,8 +55,6 @@ pub struct BranchCtx {
     pub promoted: bool,
     /// Embedded direction in the trace line, if fetched from the TC.
     pub embedded: Option<bool>,
-    /// Checkpoint owned by this uop.
-    pub checkpoint: Option<u64>,
     /// Resolved direction.
     pub actual_taken: Option<bool>,
     /// Resolved target PC (the PC that follows this instruction).
@@ -86,8 +85,6 @@ pub struct Uop {
     /// The physical register this uop's destination mapping displaced
     /// (freed when this uop retires).
     pub prev_phys: Option<PhysReg>,
-    /// The destination mapping is an alias of the source (marked move).
-    pub aliased: bool,
     /// Functional unit (issue slot) assignment.
     pub fu: u8,
     /// Execution state.
@@ -98,10 +95,12 @@ pub struct Uop {
     pub mem: Option<MemState>,
     /// Fetched from the trace cache.
     pub from_tc: bool,
-    /// Head of a trace-cache-miss fetch bundle (see
-    /// [`FetchSlot::miss_head`]).
+    /// Head of a bundle fetched after a trace-cache miss: an address the
+    /// fetch engine looked up and missed, where the fill unit starts a
+    /// new segment.
     pub miss_head: bool,
-    /// Marked register move (completed in rename).
+    /// Marked register move, completed in rename: the destination
+    /// mapping is an alias of the source.
     pub is_move: bool,
     /// Immediate was reassociated by the fill unit.
     pub reassociated: bool,
@@ -149,23 +148,36 @@ impl Uop {
 
 /// Every in-flight uop, indexed by id.
 ///
-/// Ids come from a counter that only grows, so the table is a deque of
-/// slots based at the oldest live id: a lookup is one subtraction, an
-/// insert lands at or past the back, and a removal trims empty slots from
-/// both ends. The table is therefore never longer than the span of live
-/// ids, however many uops a squash discards.
+/// Ids come from a counter that only grows, so the table is a ring of
+/// slots, a power of two long, covering the ids from the oldest live one
+/// (`base`) to one past the youngest (`end`): uop `id` lives in slot
+/// `id & mask`. A lookup is one compare and one mask, an insert lands at
+/// or past `end` (doubling the ring when the span would not fit), and a
+/// removal drops the uop where it lies, then moves `base` and `end` in
+/// past empty slots. A uop is built once, at its insert, and never moves
+/// until the ring grows. The ring is the smallest power of two (at least
+/// 64 slots) that held the widest span of live ids so far, however many
+/// uops a squash discards.
 #[derive(Debug, Default)]
 pub(crate) struct UopTable {
-    /// Id of `slots[0]`.
+    /// The oldest id in the span; its slot is occupied unless the span
+    /// is empty.
     base: UopId,
-    slots: VecDeque<Option<Uop>>,
+    /// One past the youngest id in the span.
+    end: UopId,
+    /// `slots[id & (slots.len() - 1)]` holds uop `id` for ids in
+    /// `base..end`; every other slot is empty.
+    slots: Vec<Option<Uop>>,
     live: usize,
 }
 
 impl UopTable {
+    /// The smallest ring the table allocates.
+    const MIN_SLOTS: usize = 64;
+
     fn slot(&self, id: UopId) -> Option<usize> {
-        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        (i < self.slots.len()).then_some(i)
+        (id.wrapping_sub(self.base) < self.end - self.base)
+            .then(|| id as usize & (self.slots.len() - 1))
     }
 
     /// The uop with this id, if it is still in flight.
@@ -189,31 +201,53 @@ impl UopTable {
     /// # Panics
     ///
     /// Panics unless the id is past every id the table holds.
+    #[inline]
     pub(crate) fn insert(&mut self, uop: Uop) {
-        if self.slots.is_empty() {
-            self.base = uop.id;
+        let id = uop.id;
+        if self.base == self.end {
+            self.base = id;
+            self.end = id;
         }
-        let end = self.base + self.slots.len() as UopId;
-        assert!(uop.id >= end, "uop {} inserted out of id order", uop.id);
-        let gap = (uop.id - end) as usize;
-        self.slots.resize_with(self.slots.len() + gap, || None);
-        self.slots.push_back(Some(uop));
+        assert!(id >= self.end, "uop {id} inserted out of id order");
+        let span = usize::try_from(id - self.base + 1).expect("id span fits usize");
+        if span > self.slots.len() {
+            self.grow(span);
+        }
+        let i = id as usize & (self.slots.len() - 1);
+        self.end = id + 1;
+        self.slots[i] = Some(uop);
         self.live += 1;
     }
 
-    /// Removes and returns the uop with this id, if it is in flight.
-    pub(crate) fn remove(&mut self, id: UopId) -> Option<Uop> {
-        let i = self.slot(id)?;
-        let uop = self.slots[i].take()?;
+    /// Re-lays the ring out long enough for `span` ids: at least twice
+    /// as long, since the ring is a power of two shorter than `span`.
+    #[cold]
+    fn grow(&mut self, span: usize) {
+        let len = span.next_power_of_two().max(Self::MIN_SLOTS);
+        let mut slots = Vec::with_capacity(len);
+        slots.resize_with(len, || None);
+        let old = self.slots.len().wrapping_sub(1);
+        for id in self.base..self.end {
+            slots[id as usize & (len - 1)] = self.slots[id as usize & old].take();
+        }
+        self.slots = slots;
+    }
+
+    /// Drops the uop with this id where it lies, if it is in flight.
+    pub(crate) fn remove(&mut self, id: UopId) {
+        let Some(i) = self.slot(id) else { return };
+        if self.slots[i].is_none() {
+            return;
+        }
+        self.slots[i] = None;
         self.live -= 1;
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
+        let mask = self.slots.len() - 1;
+        while self.base < self.end && self.slots[self.base as usize & mask].is_none() {
             self.base += 1;
         }
-        while let Some(None) = self.slots.back() {
-            self.slots.pop_back();
+        while self.end > self.base && self.slots[(self.end - 1) as usize & mask].is_none() {
+            self.end -= 1;
         }
-        Some(uop)
     }
 
     /// Number of uops in flight.
@@ -223,12 +257,17 @@ impl UopTable {
 
     /// Every uop in flight, oldest first.
     pub(crate) fn values(&self) -> impl Iterator<Item = &Uop> {
-        self.slots.iter().flatten()
+        let mask = self.slots.len().wrapping_sub(1);
+        (self.base..self.end).filter_map(move |id| self.slots[id as usize & mask].as_ref())
     }
 
-    /// Removes every uop.
+    /// Drops every uop.
     pub(crate) fn clear(&mut self) {
-        self.slots.clear();
+        let mask = self.slots.len().wrapping_sub(1);
+        for id in self.base..self.end {
+            self.slots[id as usize & mask] = None;
+        }
+        self.base = self.end;
         self.live = 0;
     }
 }
@@ -243,8 +282,8 @@ impl Index<UopId> for UopTable {
 }
 
 /// Per-branch fetch-time snapshots used to build checkpoints.
-#[derive(Debug, Clone)]
-pub struct BranchFetchMeta {
+#[derive(Debug)]
+pub(crate) struct BranchFetchMeta {
     /// Predicted direction (conditional) at fetch.
     pub pred_taken: Option<bool>,
     /// Predicted target (indirect) at fetch.
@@ -261,34 +300,25 @@ pub struct BranchFetchMeta {
     pub ghr_snap: HistorySnapshot,
 }
 
+/// Where a fetched instruction comes from.
+#[derive(Debug)]
+pub(crate) enum SlotSource {
+    /// Slot `.1` of a trace line. Issue reads the instruction's executed
+    /// form (opcode, immediate, sources, move and scaled-add marks) from
+    /// the line itself, and the uop takes the line's handle.
+    Line(Arc<Segment>, u8),
+    /// An instruction the instruction-cache path decoded at a PC.
+    Raw(u32, Instr),
+}
+
 /// One slot of a fetch bundle, uniform across the trace-cache and
-/// instruction-cache paths.
-#[derive(Debug, Clone)]
-pub struct FetchSlot {
-    /// PC.
-    pub pc: u32,
-    /// Architectural instruction.
-    pub instr: Instr,
-    /// Executed opcode (from the segment, or `instr.op` on the raw path).
-    pub op: Op,
-    /// Executed immediate.
-    pub imm: i32,
-    /// Scaled-add annotation.
-    pub scadd: Option<ScAdd>,
-    /// Dataflow sources (`LiveIn` on the raw path).
-    pub srcs: [Option<SrcRef>; 2],
-    /// Architectural destination.
-    pub dest: Option<ArchReg>,
-    /// Marked move and its source.
-    pub is_move: bool,
-    /// Move source location.
-    pub move_src: Option<SrcRef>,
+/// instruction-cache paths. Issue moves it out of its bundle into a uop.
+#[derive(Debug)]
+pub(crate) struct FetchSlot {
+    /// The instruction.
+    pub src: SlotSource,
     /// Issue slot (functional unit) assignment.
     pub fu: u8,
-    /// Reassociated immediate.
-    pub reassociated: bool,
-    /// Fetched from the trace cache.
-    pub from_tc: bool,
     /// First instruction of a bundle fetched after a trace-cache miss —
     /// i.e. an address the fetch engine actually looked up and missed.
     /// The fill unit starts new segments at these addresses so stored
@@ -298,9 +328,37 @@ pub struct FetchSlot {
     pub inactive: bool,
     /// Branch metadata.
     pub branch: Option<BranchFetchMeta>,
-    /// The trace segment this slot came from (`None` on the
-    /// instruction-cache path); see [`Uop::seg`].
-    pub seg: Option<Arc<Segment>>,
+}
+
+impl SlotSource {
+    /// The instruction as issue sees it: its trace-line slot, or, for a
+    /// raw instruction, a one-slot line whose sources are all live-ins.
+    pub(crate) fn line(&self) -> Cow<'_, SegSlot> {
+        match self {
+            SlotSource::Line(seg, i) => Cow::Borrowed(&seg.slots[*i as usize]),
+            &SlotSource::Raw(pc, instr) => {
+                let mut srcs = [None, None];
+                for (k, r) in instr.srcs().enumerate() {
+                    srcs[k] = Some(SrcRef::LiveIn(r));
+                }
+                Cow::Owned(SegSlot {
+                    pc,
+                    orig: instr,
+                    op: instr.op,
+                    imm: instr.imm,
+                    srcs,
+                    dest: instr.dest(),
+                    block: 0,
+                    live_out: instr.dest().is_some(),
+                    is_move: false,
+                    move_src: None,
+                    scadd: None,
+                    taken: None,
+                    reassociated: false,
+                })
+            }
+        }
+    }
 }
 
 /// Where fetch resumes after a shadow context is activated.
@@ -314,27 +372,26 @@ pub enum ShadowResume {
 }
 
 /// A bundle of fetched instructions awaiting issue.
-#[derive(Debug, Clone)]
-pub struct FetchBundle {
-    /// Slots in original program order.
-    pub slots: Vec<FetchSlot>,
+#[derive(Debug)]
+pub(crate) struct FetchBundle {
+    /// Slots not yet issued, in original program order. Issue pops them
+    /// from the front; the emptied buffer goes back to fetch.
+    pub slots: VecDeque<FetchSlot>,
     /// Index of the divergence branch, if the line's embedded path departs
     /// from the predictions (slots after it are inactive).
     pub diverge_at: Option<usize>,
     /// Where fetch resumes along the shadow path if it is activated.
+    /// (Activation rebuilds the shadow's return-stack and history effects
+    /// by walking its uops.)
     pub shadow_resume: ShadowResume,
-    /// Return addresses pushed by calls in the shadow portion, applied at
-    /// activation.
-    pub shadow_ras_pushes: Vec<u32>,
-    /// Embedded directions of shadow-portion conditional branches, pushed
-    /// into the history at activation.
-    pub shadow_ghr: Vec<bool>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use tracefill_isa::instr::NOP;
+    use tracefill_util::prop::{check, coin, range};
 
     fn uop(id: UopId) -> Uop {
         Uop {
@@ -347,7 +404,6 @@ mod tests {
             srcs: [None, None],
             dest: None,
             prev_phys: None,
-            aliased: false,
             fu: 0,
             state: UopState::Waiting,
             branch: None,
@@ -395,8 +451,9 @@ mod tests {
     #[test]
     fn holes_in_the_middle_stay_reachable_around() {
         let mut t = table(&[10, 11, 12, 13]);
-        assert_eq!(t.remove(11).map(|u| u.id), Some(11));
-        assert_eq!(t.remove(12).map(|u| u.id), Some(12));
+        t.remove(11);
+        t.remove(12);
+        assert_eq!(t.len(), 2);
         assert_eq!(t[10].id, 10);
         assert_eq!(t[13].id, 13);
         assert!(t.get(11).is_none() && t.get(12).is_none());
@@ -412,7 +469,7 @@ mod tests {
         t.remove(6);
         t.remove(7);
         t.remove(5);
-        assert_eq!((t.base, t.slots.len()), (8, 1));
+        assert_eq!((t.base, t.end), (8, 9));
         assert_eq!(t[8].id, 8);
     }
 
@@ -421,13 +478,13 @@ mod tests {
         let mut t = table(&[5, 6, 7, 8]);
         t.remove(7);
         t.remove(8);
-        assert_eq!((t.base, t.slots.len()), (5, 2));
+        assert_eq!((t.base, t.end), (5, 7));
         t.remove(6);
         t.remove(5);
-        assert!(t.slots.is_empty());
+        assert_eq!(t.base, t.end, "empty");
         // An empty table rebases at the next insert.
         t.insert(uop(40));
-        assert_eq!((t.base, t.slots.len()), (40, 1));
+        assert_eq!((t.base, t.end), (40, 41));
     }
 
     #[test]
@@ -437,7 +494,8 @@ mod tests {
         t.remove(5); // squashed from the tail
         assert!(t.get(3).is_none() && t.get_mut(5).is_none());
         assert!(!t.contains(3) && t.contains(4));
-        assert!(t.remove(3).is_none());
+        t.remove(3);
+        assert_eq!(t.len(), 1, "removing a dead id changes nothing");
         // Ids never issued, below the base and past the back.
         assert!(t.get(0).is_none() && t.get(99).is_none());
     }
@@ -448,9 +506,88 @@ mod tests {
         t.remove(2);
         t.remove(4);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.slots.len(), 5);
+        assert_eq!(t.end - t.base, 5);
         t.clear();
         assert_eq!(t.len(), 0);
+    }
+
+    /// The table against a `BTreeMap` model: in-order inserts with id
+    /// gaps (some wide enough to grow the ring while its span wraps),
+    /// removals at the front, in the middle, at the back and of dead
+    /// ids, and clears. After every step `len`, `values` order, `get` and
+    /// `contains` agree with the model around the live span.
+    #[test]
+    fn table_matches_a_model() {
+        check("uop_table_matches_a_model", 256, |rng| {
+            let mut t = UopTable::default();
+            let mut model: BTreeMap<UopId, ()> = BTreeMap::new();
+            let mut next: UopId = rng.range_u32(0, 1 << 20) as UopId;
+            for _ in 0..300 {
+                match range(rng, 0, 16) {
+                    0..=6 => {
+                        let gap = if range(rng, 0, 8) == 0 {
+                            range(rng, 0, 200)
+                        } else {
+                            range(rng, 0, 3)
+                        };
+                        next += gap as UopId;
+                        t.insert(uop(next));
+                        model.insert(next, ());
+                        next += 1;
+                    }
+                    7..=13 if !model.is_empty() => {
+                        let id = match range(rng, 0, 4) {
+                            0 => *model.keys().next().unwrap(),
+                            1 => *model.keys().next_back().unwrap(),
+                            _ => {
+                                let k = range(rng, 0, model.len() as i32) as usize;
+                                *model.keys().nth(k).unwrap()
+                            }
+                        };
+                        t.remove(id);
+                        model.remove(&id);
+                    }
+                    14 => {
+                        // A dead or never-issued id.
+                        let id = next.saturating_sub(range(rng, 0, 300) as UopId);
+                        if !model.contains_key(&id) {
+                            t.remove(id);
+                        }
+                    }
+                    15 if coin(rng) => {
+                        t.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(t.len(), model.len());
+                let ids: Vec<UopId> = t.values().map(|u| u.id).collect();
+                let want: Vec<UopId> = model.keys().copied().collect();
+                assert_eq!(ids, want);
+                let lo = model.keys().next().map_or(next, |&k| k).saturating_sub(3);
+                for id in lo..next + 3 {
+                    assert_eq!(t.contains(id), model.contains_key(&id), "id {id}");
+                    assert_eq!(t.get(id).map(|u| u.id), model.get(&id).map(|_| id));
+                }
+            }
+        });
+    }
+
+    /// Every in-flight instruction is built in, moved through or checked
+    /// against these, so a field that bloats one shows in host speed.
+    /// Changing a size is fine when it is meant: update it here.
+    #[test]
+    fn hot_structs_keep_their_sizes() {
+        use std::mem::size_of;
+        let sizes = [
+            ("Uop", size_of::<Uop>(), 128),
+            ("FetchSlot", size_of::<FetchSlot>(), 56),
+            ("Checkpoint", size_of::<crate::machine::Checkpoint>(), 88),
+            ("Lockstep", size_of::<crate::retire::Lockstep>(), 24),
+        ];
+        for (name, size, pinned) in sizes {
+            assert_eq!(size, pinned, "{name} is {size} bytes, pinned at {pinned}");
+        }
     }
 
     #[test]

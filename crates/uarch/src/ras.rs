@@ -1,9 +1,12 @@
 //! Return address stack (RAS) with checkpoint repair.
 //!
 //! The fetch engine pushes on calls and pops on returns, speculatively.
-//! Because the stack is small, checkpoints store a full copy and
-//! misprediction recovery restores it wholesale — exact repair at a cost a
-//! simulator can afford.
+//! Checkpoints hold a full copy and misprediction recovery restores it
+//! wholesale, which makes repair exact. The entries are shared copy on
+//! write, so a snapshot costs one reference count and the stack copies
+//! its entries only when it changes while a snapshot still holds them.
+
+use std::sync::Arc;
 
 /// A fixed-depth circular return address stack.
 ///
@@ -25,14 +28,14 @@
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReturnStack {
-    entries: Vec<u32>,
+    entries: Arc<Vec<u32>>,
     depth: usize,
 }
 
 /// A checkpointed copy of the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RasSnapshot {
-    entries: Vec<u32>,
+    entries: Arc<Vec<u32>>,
 }
 
 impl ReturnStack {
@@ -44,22 +47,26 @@ impl ReturnStack {
     pub fn new(depth: usize) -> ReturnStack {
         assert!(depth > 0, "return stack needs at least one entry");
         ReturnStack {
-            entries: Vec::with_capacity(depth),
+            entries: Arc::new(Vec::with_capacity(depth)),
             depth,
         }
     }
 
     /// Pushes a return address, evicting the oldest entry when full.
     pub fn push(&mut self, addr: u32) {
-        if self.entries.len() == self.depth {
-            self.entries.remove(0);
+        let entries = Arc::make_mut(&mut self.entries);
+        if entries.len() == self.depth {
+            entries.remove(0);
         }
-        self.entries.push(addr);
+        entries.push(addr);
     }
 
     /// Pops the most recent return address.
     pub fn pop(&mut self) -> Option<u32> {
-        self.entries.pop()
+        if self.entries.is_empty() {
+            return None;
+        }
+        Arc::make_mut(&mut self.entries).pop()
     }
 
     /// The address a return would pop, without popping.
@@ -67,10 +74,11 @@ impl ReturnStack {
         self.entries.last().copied()
     }
 
-    /// Captures the full stack for checkpoint repair.
+    /// Captures the full stack for checkpoint repair (one reference
+    /// count; the entries are copied only if the stack later changes).
     pub fn snapshot(&self) -> RasSnapshot {
         RasSnapshot {
-            entries: self.entries.clone(),
+            entries: Arc::clone(&self.entries),
         }
     }
 

@@ -155,3 +155,58 @@ fn ras_is_a_bounded_stack() {
         assert_eq!(got, expect);
     });
 }
+
+/// The return stack's entries, oldest first, read from a copy that
+/// shares them (so reading them copies on write).
+fn ras_entries(r: &ReturnStack) -> Vec<u32> {
+    let mut copy = r.clone();
+    let mut got = Vec::new();
+    while let Some(a) = copy.pop() {
+        got.push(a);
+    }
+    got.reverse();
+    got
+}
+
+/// Snapshots share the stack's entries copy on write, yet stay exact:
+/// against a plain `Vec` model at several depths, pushes (overflowing
+/// drops the oldest), pops, snapshots and restores keep the stack equal
+/// to the model, every snapshot keeps the contents it was taken with,
+/// and `restore` brings them back exactly.
+#[test]
+fn ras_snapshots_are_unchanged_by_later_pushes_and_pops() {
+    check("ras_snapshots_are_unchanged", CASES, |rng| {
+        let depth = [1, 2, 3, 8, 16][rng.range_u64(0, 5) as usize];
+        let mut r = ReturnStack::new(depth);
+        let mut model: Vec<u32> = Vec::new();
+        let mut snaps = Vec::new();
+        for _ in 0..rng.range_u64(1, 120) {
+            match rng.range_u32(0, 8) {
+                0..=2 => {
+                    let a = rng.next_u32();
+                    r.push(a);
+                    if model.len() == depth {
+                        model.remove(0);
+                    }
+                    model.push(a);
+                }
+                3 | 4 => assert_eq!(r.pop(), model.pop()),
+                5 | 6 => snaps.push((r.snapshot(), model.clone())),
+                _ if !snaps.is_empty() => {
+                    let k = rng.range_u64(0, snaps.len() as u64) as usize;
+                    let (snap, saved) = snaps[k].clone();
+                    r.restore(snap);
+                    model = saved;
+                }
+                _ => {}
+            }
+            assert_eq!((r.len(), r.top()), (model.len(), model.last().copied()));
+            assert_eq!(ras_entries(&r), model);
+            for (snap, saved) in &snaps {
+                let mut probe = ReturnStack::new(depth);
+                probe.restore(snap.clone());
+                assert_eq!(&ras_entries(&probe), saved, "a snapshot changed");
+            }
+        }
+    });
+}

@@ -278,6 +278,19 @@ fn verify_fails_a_run_stopped_by_the_cycle_limit() {
 }
 
 #[test]
+fn ledger_fails_a_run_stopped_by_the_cycle_limit() {
+    let out = bin()
+        .args(["ledger", "--bench", "m88k", "--max-cycles", "100"])
+        .args(["--budget", "2000"])
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("m88k") && err.contains("cycle-limit"), "{err}");
+    assert!(out.stdout.is_empty(), "no partial ledger is printed");
+}
+
+#[test]
 fn trace_rejects_ledger_without_chrome_format() {
     let dir = scratch("trace-ledger-jsonl");
     let prog = smoke_program(&dir);

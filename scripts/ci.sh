@@ -81,6 +81,20 @@ cmp "$SMOKE_DIR/ledger.json" "$GOLDEN/ledger.json"
 cargo run --release -q -p tracefill-bench --bin tracefill -- \
     run "$SMOKE_DIR/smoke.s" --replace trrip --json > "$SMOKE_DIR/trrip.json"
 
+echo "==> figure and table stdout match their reduced-window goldens"
+# The figure benchmarks resume rows from campaign stores keyed by window,
+# so drop this window's stores first: a store an older build wrote would
+# re-print its rows instead of this build's.
+rm -f crates/bench/target/campaigns/*-w20000-b20000.jsonl
+for fig in table1_suite fig3_register_moves fig4_reassociation fig5_scaled_adds \
+    fig6_placement fig7_bypass_delay fig8_combined table2_coverage; do
+    TRACEFILL_WARMUP=20000 TRACEFILL_BUDGET=20000 \
+        cargo bench -q -p tracefill-bench --bench "$fig" \
+        > "$SMOKE_DIR/$fig.txt" 2> "$SMOKE_DIR/$fig.err" ||
+        { cat "$SMOKE_DIR/$fig.err"; exit 1; }
+    cmp "$SMOKE_DIR/$fig.txt" "$GOLDEN/figures/$fig.txt"
+done
+
 echo "==> ablations benchmark (run_with through the harness runner)"
 TRACEFILL_WARMUP=500 TRACEFILL_BUDGET=500 cargo bench -q -p tracefill-bench --bench ablations
 

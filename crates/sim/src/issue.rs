@@ -265,6 +265,7 @@ impl Simulator {
             fu_executed: false,
             seg,
         });
+        self.sched.fit_ring(self.uops.ring_len(), self.uops.base());
 
         // Store queue (the station entry is made below).
         if is_store && !in_shadow {

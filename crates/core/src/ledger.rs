@@ -4,7 +4,8 @@
 //! latency, verification, cache storage — and the aggregate counters of
 //! the metrics registry cannot say *which* segments repaid it. The
 //! ledger is a deterministic journal keyed by
-//! [`Provenance::seg_id`](crate::segment::Provenance::seg_id) that
+//! [`Provenance::seg_id`](crate::segment::Provenance::seg_id), the
+//! identity the trace cache stores each line under, that
 //! follows each segment from fill-unit construction (build cycle, pass
 //! attribution) through cache residency (hits, eviction cause and age)
 //! to the fetch/retire path (uops fetched, retired, and squashed while
@@ -31,7 +32,7 @@
 
 use crate::opt::OptCounts;
 use crate::segment::Segment;
-use crate::tcache::InsertOutcome;
+use crate::tcache::{Displaced, InsertOutcome};
 use std::collections::BTreeMap;
 use tracefill_util::{Histogram, Json, Registry};
 
@@ -210,23 +211,24 @@ impl Ledger {
         self.records.values()
     }
 
-    /// A segment entered the trace cache at cycle `now`; `outcome` names
-    /// the line it displaced, whose record this closes.
+    /// Segment `seg` entered the trace cache at cycle `now`; `outcome`
+    /// names the identity it was stored under, whose record this opens,
+    /// and the line it displaced, whose record this closes.
     pub fn on_insert(&mut self, seg: &Segment, outcome: &InsertOutcome, now: u64) {
         if !self.enabled {
             return;
         }
-        let cause = match outcome {
-            InsertOutcome::Filled => None,
-            InsertOutcome::Refreshed(prev) => Some((prev, EvictCause::Refresh)),
-            InsertOutcome::Evicted(prev) => Some((prev, EvictCause::Conflict)),
+        let cause = match &outcome.displaced {
+            Displaced::Nothing => None,
+            Displaced::Refreshed(prev) => Some((prev, EvictCause::Refresh)),
+            Displaced::Evicted(prev) => Some((prev, EvictCause::Conflict)),
         };
         if let Some((prev, cause)) = cause {
             if let Some(rec) = self.records.get_mut(&prev.provenance.seg_id) {
                 rec.evicted = Some((now, cause));
             }
         }
-        let p = &seg.provenance;
+        let p = outcome.provenance;
         self.records.insert(
             p.seg_id,
             SegRecord {
@@ -234,7 +236,7 @@ impl Ledger {
                 start_pc: seg.start_pc,
                 len: seg.slots.len() as u8,
                 end: seg.end.name(),
-                opt_counts: p.opt_counts,
+                opt_counts: seg.opt_counts,
                 loop_seg: seg.end == crate::segment::SegEnd::Loop,
                 transformed: seg.slots.iter().any(|s| s.is_transformed()),
                 build_cycle: p.build_cycle,
@@ -533,12 +535,13 @@ mod tests {
     use super::*;
     use crate::builder::{build_segments, FillInput};
     use crate::config::{FillConfig, TraceCacheConfig};
+    use crate::segment::{Line, Provenance};
     use crate::tcache::TraceCache;
     use std::sync::Arc;
     use tracefill_isa::{ArchReg, Instr, Op};
 
-    /// A one-branch segment at `pc` with a synthetic seg id.
-    fn seg(pc: u32, seg_id: u64, taken: bool) -> Arc<Segment> {
+    /// A line of a one-branch segment at `pc` with a synthetic seg id.
+    fn seg(pc: u32, seg_id: u64, taken: bool) -> Line {
         let inputs = vec![
             FillInput {
                 pc,
@@ -561,12 +564,16 @@ mod tests {
                 fetch_miss_head: false,
             },
         ];
-        let mut s = build_segments(&inputs, &FillConfig::default())
+        let s = build_segments(&inputs, &FillConfig::default())
             .pop()
             .unwrap();
-        s.provenance.seg_id = seg_id;
-        s.provenance.build_cycle = seg_id * 10;
-        Arc::new(s)
+        Line {
+            seg: Arc::new(s),
+            provenance: Provenance {
+                seg_id,
+                build_cycle: seg_id * 10,
+            },
+        }
     }
 
     fn tc() -> TraceCache {
@@ -582,7 +589,7 @@ mod tests {
         let mut led = Ledger::new(false);
         let mut cache = tc();
         let s = seg(0x1000, 1, true);
-        let out = cache.insert(Arc::clone(&s));
+        let out = cache.insert(s.clone());
         led.on_insert(&s, &out, 5);
         led.on_fetch(1, 2);
         led.on_retire(1);
@@ -596,7 +603,7 @@ mod tests {
         let mut led = Ledger::new(true);
         let mut cache = tc();
         let s = seg(0x1000, 7, true);
-        let out = cache.insert(Arc::clone(&s));
+        let out = cache.insert(s.clone());
         led.on_insert(&s, &out, 100);
         led.on_fetch(7, 2);
         led.on_fetch(7, 2);
@@ -624,7 +631,7 @@ mod tests {
         // the first.
         for (i, pc) in [0x1000u32, 0x1010, 0x1020].into_iter().enumerate() {
             let s = seg(pc, i as u64 + 1, true);
-            let out = cache.insert(Arc::clone(&s));
+            let out = cache.insert(s.clone());
             led.on_insert(&s, &out, 10 * (i as u64 + 1));
         }
         let victim = led.get(1).unwrap();
@@ -633,7 +640,7 @@ mod tests {
         assert!(victim.is_doa(), "evicted with zero hits");
         // A refresh closes with the refresh cause.
         let s = seg(0x1010, 4, true);
-        let out = cache.insert(Arc::clone(&s));
+        let out = cache.insert(s.clone());
         led.on_insert(&s, &out, 40);
         assert_eq!(led.get(2).unwrap().evicted, Some((40, EvictCause::Refresh)));
         assert!(led.get(3).unwrap().evicted.is_none(), "still resident");
@@ -645,11 +652,11 @@ mod tests {
         let mut cache = tc();
         let mut s = seg(0x1000, 1, true);
         {
-            let m = Arc::get_mut(&mut s).unwrap();
-            m.provenance.opt_counts.moves = 2;
-            m.provenance.opt_counts.scadd = 1;
+            let m = Arc::get_mut(&mut s.seg).unwrap();
+            m.opt_counts.moves = 2;
+            m.opt_counts.scadd = 1;
         }
-        let out = cache.insert(Arc::clone(&s));
+        let out = cache.insert(s.clone());
         led.on_insert(&s, &out, 5);
         for _ in 0..10 {
             led.on_fetch(1, 2);
@@ -688,7 +695,7 @@ mod tests {
         let mut cache = tc();
         for (id, pc) in [(1u64, 0x1000u32), (2, 0x2004), (3, 0x3008)] {
             let s = seg(pc, id, true);
-            let out = cache.insert(Arc::clone(&s));
+            let out = cache.insert(s.clone());
             led.on_insert(&s, &out, id);
         }
         led.on_fetch(2, 2);
@@ -712,8 +719,8 @@ mod tests {
         let mut cache = tc();
         for (i, pc) in [0x1000u32, 0x1010, 0x1020].into_iter().enumerate() {
             let mut s = seg(pc, i as u64 + 1, true);
-            Arc::get_mut(&mut s).unwrap().provenance.opt_counts.moves = 1;
-            let out = cache.insert(Arc::clone(&s));
+            Arc::get_mut(&mut s.seg).unwrap().opt_counts.moves = 1;
+            let out = cache.insert(s.clone());
             led.on_insert(&s, &out, 10 * (i as u64 + 1));
         }
         led.on_fetch(2, 2);

@@ -67,5 +67,5 @@ pub use config::{FillConfig, OptConfig, TraceCacheConfig};
 pub use fill::{FillUnit, VerifyFailure};
 pub use ledger::{EvictCause, Ledger, SegRecord, SegSpan};
 pub use quarantine::{Escalation, Quarantine, QuarantineConfig};
-pub use segment::{Provenance, SegSlot, SegSource, Segment, SrcRef};
+pub use segment::{Line, Provenance, SegSlot, SegSource, Segment, SrcRef};
 pub use tcache::{InsertOutcome, TraceCache};

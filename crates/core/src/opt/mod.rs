@@ -86,7 +86,7 @@ pub fn apply_all_telemetry(
         placement::apply_counted(seg, clusters, telemetry);
         counts.placed_segments = 1;
     }
-    seg.provenance.opt_counts = counts;
+    seg.opt_counts = counts;
     debug_assert_eq!(seg.check_invariants(), Ok(()));
     debug_assert_eq!(verify::equivalent(seg, 0xfeed_f00d), Ok(()));
     counts

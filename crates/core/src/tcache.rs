@@ -9,9 +9,13 @@
 //! multiple-branch predictions and selects the way whose embedded path
 //! matches the longest prediction prefix (with inactive issue, a partial
 //! match still issues the whole line).
+//!
+//! A way holds a [`Line`]: the segment, which every build of the same
+//! content shares, next to the [`Provenance`] of the build that filled
+//! the way.
 
 use crate::config::TraceCacheConfig;
-use crate::segment::{SegEnd, Segment};
+use crate::segment::{Line, Provenance, SegEnd, Segment};
 use std::sync::Arc;
 pub use tracefill_policy::PolicyCounters;
 use tracefill_policy::{LineAttrs, ReplacePolicy};
@@ -48,7 +52,7 @@ impl TraceCacheStats {
 #[derive(Debug, Clone)]
 struct Way {
     tag: u32,
-    seg: Arc<Segment>,
+    line: Arc<Line>,
 }
 
 /// How well a fetched line's embedded path matches the predictions.
@@ -64,34 +68,34 @@ pub struct PathMatch {
 /// A trace cache lookup result.
 #[derive(Debug, Clone)]
 pub struct TcHit {
-    /// The stored segment.
-    pub seg: Arc<Segment>,
+    /// The stored line.
+    pub seg: Arc<Line>,
     /// How far the predictions follow the embedded path.
     pub path: PathMatch,
 }
 
 /// What an [`insert`](TraceCache::insert) did to the cache, reported so
-/// the segment ledger can close the displaced line's lifetime record.
+/// the segment ledger can open the new line's lifetime record and close
+/// the displaced line's.
 #[derive(Debug, Clone)]
-pub enum InsertOutcome {
-    /// The segment landed in an empty way; nothing was displaced.
-    Filled,
-    /// The segment replaced a same-address, same-path line (counted in
-    /// [`TraceCacheStats::refreshes`]). The displaced segment is returned.
-    Refreshed(Arc<Segment>),
-    /// The segment displaced a different line from a full set (counted in
-    /// [`TraceCacheStats::evictions`]). The displaced segment is returned.
-    Evicted(Arc<Segment>),
+pub struct InsertOutcome {
+    /// The identity the new line was stored under.
+    pub provenance: Provenance,
+    /// The line it displaced, if any.
+    pub displaced: Displaced,
 }
 
-impl InsertOutcome {
-    /// The displaced segment, if any line was displaced.
-    pub fn displaced(&self) -> Option<&Arc<Segment>> {
-        match self {
-            InsertOutcome::Filled => None,
-            InsertOutcome::Refreshed(s) | InsertOutcome::Evicted(s) => Some(s),
-        }
-    }
+/// The line an insert displaced.
+#[derive(Debug, Clone)]
+pub enum Displaced {
+    /// The line landed in an empty way; nothing was displaced.
+    Nothing,
+    /// The line replaced a same-address, same-path line (counted in
+    /// [`TraceCacheStats::refreshes`]), returned here.
+    Refreshed(Arc<Line>),
+    /// The line displaced a different line from a full set (counted in
+    /// [`TraceCacheStats::evictions`]), returned here.
+    Evicted(Arc<Line>),
 }
 
 /// The trace cache.
@@ -191,15 +195,15 @@ impl TraceCache {
             if way.tag != pc {
                 continue;
             }
-            let m = match_predictions(&way.seg, preds);
+            let m = match_predictions(&way.line, preds);
             let better = match &best {
                 None => true,
                 Some((_, bm, blen)) => {
-                    (m.matching_branches, way.seg.slots.len()) > (bm.matching_branches, *blen)
+                    (m.matching_branches, way.line.slots.len()) > (bm.matching_branches, *blen)
                 }
             };
             if better {
-                best = Some((w, m, way.seg.slots.len()));
+                best = Some((w, m, way.line.slots.len()));
             }
         }
         match best {
@@ -210,7 +214,7 @@ impl TraceCache {
                     self.stats.full_path_hits += 1;
                 }
                 Some(TcHit {
-                    seg: Arc::clone(&self.sets[set][w].seg),
+                    seg: Arc::clone(&self.sets[set][w].line),
                     path: m,
                 })
             }
@@ -221,42 +225,49 @@ impl TraceCache {
         }
     }
 
-    /// Writes a segment produced by the fill unit, reporting which line
-    /// (if any) it displaced.
-    pub fn insert(&mut self, seg: Arc<Segment>) -> InsertOutcome {
+    /// Writes a line produced by the fill unit (or a bare segment, as a
+    /// line with seg id and build cycle 0), reporting which line (if any)
+    /// it displaced.
+    pub fn insert(&mut self, line: impl Into<Line>) -> InsertOutcome {
+        let line = Arc::new(line.into());
         self.clock += 1;
         let clock = self.clock;
-        let set = self.set_of(seg.start_pc);
+        let set = self.set_of(line.start_pc);
         let ways = self.ways;
-        let sig = seg.path_sig();
-        let attrs = attrs_of(&seg);
+        let sig = line.path_sig();
+        let attrs = attrs_of(&line);
+        let provenance = line.provenance;
         let set_ways = &mut self.sets[set];
         self.stats.fills += 1;
 
         // Same start address and same path: refresh in place.
-        if let Some(w) = set_ways
+        let tag = line.start_pc;
+        let displaced = if let Some(w) = set_ways
             .iter()
-            .position(|w| w.tag == seg.start_pc && w.seg.path_sig() == sig)
+            .position(|w| w.tag == tag && w.line.path_sig() == sig)
         {
-            let prev = std::mem::replace(&mut set_ways[w].seg, seg);
+            let prev = std::mem::replace(&mut set_ways[w].line, line);
             self.policy.on_insert(set, w, clock, &attrs);
             self.stats.refreshes += 1;
-            return InsertOutcome::Refreshed(prev);
-        }
-        let tag = seg.start_pc;
-        if set_ways.len() < ways {
+            Displaced::Refreshed(prev)
+        } else if set_ways.len() < ways {
             let w = set_ways.len();
-            set_ways.push(Way { tag, seg });
+            set_ways.push(Way { tag, line });
             self.policy.on_insert(set, w, clock, &attrs);
-            return InsertOutcome::Filled;
+            Displaced::Nothing
+        } else {
+            // Full set: the replacement policy picks the way to displace.
+            let victim = self.policy.victim(set, set_ways.len(), clock);
+            set_ways[victim].tag = tag;
+            let prev = std::mem::replace(&mut set_ways[victim].line, line);
+            self.policy.on_insert(set, victim, clock, &attrs);
+            self.stats.evictions += 1;
+            Displaced::Evicted(prev)
+        };
+        InsertOutcome {
+            provenance,
+            displaced,
         }
-        // Full set: the replacement policy picks the way to displace.
-        let victim = self.policy.victim(set, set_ways.len(), clock);
-        set_ways[victim].tag = tag;
-        let prev = std::mem::replace(&mut set_ways[victim].seg, seg);
-        self.policy.on_insert(set, victim, clock, &attrs);
-        self.stats.evictions += 1;
-        InsertOutcome::Evicted(prev)
     }
 
     /// Removes the line holding segment `seg_id` at fetch address
@@ -267,18 +278,18 @@ impl TraceCache {
     /// (the policy carries the moved line's state via
     /// [`ReplacePolicy::on_move`]), preserving the left-to-right occupancy
     /// invariant the policies rely on.
-    pub fn invalidate(&mut self, start_pc: u32, seg_id: u64) -> Option<Arc<Segment>> {
+    pub fn invalidate(&mut self, start_pc: u32, seg_id: u64) -> Option<Arc<Line>> {
         let set = self.set_of(start_pc);
         let set_ways = &mut self.sets[set];
         let pos = set_ways
             .iter()
-            .position(|w| w.tag == start_pc && w.seg.provenance.seg_id == seg_id)?;
+            .position(|w| w.tag == start_pc && w.line.provenance.seg_id == seg_id)?;
         let last = set_ways.len() - 1;
         let removed = set_ways.swap_remove(pos);
         if pos != last {
             self.policy.on_move(set, last, pos);
         }
-        Some(removed.seg)
+        Some(removed.line)
     }
 
     /// Hit / eviction / eviction-age totals from the replacement policy's
@@ -297,7 +308,7 @@ impl TraceCache {
         self.sets
             .iter()
             .flatten()
-            .map(|w| w.seg.storage_bits() as u64)
+            .map(|w| w.line.storage_bits() as u64)
             .sum()
     }
 }
@@ -401,23 +412,25 @@ mod tests {
     fn invalidate_removes_the_named_line_and_compacts_the_set() {
         let mut tc = small_tc();
         let pc = 0x40_0000;
-        let with_id = |taken: bool, id: u64| {
-            let mut s = (*seg_with_path(pc, taken)).clone();
-            s.provenance.seg_id = id;
-            Arc::new(s)
+        let with_id = |taken: bool, seg_id: u64| Line {
+            seg: seg_with_path(pc, taken),
+            provenance: Provenance {
+                seg_id,
+                build_cycle: 0,
+            },
         };
         let a = with_id(true, 7);
         let b = with_id(false, 8);
         let (a_id, b_id) = (a.provenance.seg_id, b.provenance.seg_id);
-        tc.insert(Arc::clone(&a));
-        tc.insert(Arc::clone(&b));
+        tc.insert(a.clone());
+        tc.insert(b);
         // Wrong pc or wrong seg id: no line is touched.
         assert!(tc.invalidate(pc + 4, a_id).is_none());
         assert!(tc.invalidate(pc, a_id.wrapping_add(1000)).is_none());
         // Invalidate way 0: way 1 compacts into its slot and both the
         // survivor and future inserts keep working.
         let removed = tc.invalidate(pc, a_id).expect("line was cached");
-        assert!(Arc::ptr_eq(&removed, &a));
+        assert_eq!(*removed, a);
         let hit = tc.lookup(pc, &[false]).unwrap();
         assert_eq!(hit.seg.provenance.seg_id, b_id);
         // The invalidated path is gone (the survivor partially matches).
@@ -435,17 +448,20 @@ mod tests {
         let pc = 0x40_0000;
         let first = seg_with_path(pc, true);
         assert!(matches!(
-            tc.insert(Arc::clone(&first)),
-            InsertOutcome::Filled
+            tc.insert(Arc::clone(&first)).displaced,
+            Displaced::Nothing
         ));
         // Same start address, same path: the refresh hands back the line
         // it replaced.
-        match tc.insert(seg_with_path(pc, true)) {
-            InsertOutcome::Refreshed(prev) => assert!(Arc::ptr_eq(&prev, &first)),
+        match tc.insert(seg_with_path(pc, true)).displaced {
+            Displaced::Refreshed(prev) => assert!(Arc::ptr_eq(&prev.seg, &first)),
             o => panic!("expected refresh, got {o:?}"),
         }
         // Different path lands in the second way without displacement.
-        assert!(tc.insert(seg_with_path(pc, false)).displaced().is_none());
+        assert!(matches!(
+            tc.insert(seg_with_path(pc, false)).displaced,
+            Displaced::Nothing
+        ));
     }
 
     #[test]
@@ -455,16 +471,16 @@ mod tests {
         let mut tc = small_tc();
         let pcs = [0x1000u32, 0x1010, 0x1020];
         assert!(matches!(
-            tc.insert(seg_with_path(pcs[0], true)),
-            InsertOutcome::Filled
+            tc.insert(seg_with_path(pcs[0], true)).displaced,
+            Displaced::Nothing
         ));
         assert!(matches!(
-            tc.insert(seg_with_path(pcs[1], true)),
-            InsertOutcome::Filled
+            tc.insert(seg_with_path(pcs[1], true)).displaced,
+            Displaced::Nothing
         ));
         assert!(tc.lookup(pcs[1], &[true]).is_some());
-        match tc.insert(seg_with_path(pcs[2], true)) {
-            InsertOutcome::Evicted(prev) => assert_eq!(prev.start_pc, pcs[0]),
+        match tc.insert(seg_with_path(pcs[2], true)).displaced {
+            Displaced::Evicted(prev) => assert_eq!(prev.start_pc, pcs[0]),
             o => panic!("expected eviction, got {o:?}"),
         }
         let c = tc.policy_counters();

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tracefill_core::builder::{build_segments, FillInput};
 use tracefill_core::config::{FillConfig, OptConfig, TraceCacheConfig};
-use tracefill_core::segment::Segment;
+use tracefill_core::segment::{Line, Segment};
 use tracefill_core::tcache::{match_predictions, TraceCache};
 use tracefill_isa::{ArchReg, Instr, Op};
 use tracefill_util::prop::{check, coin, range};
@@ -119,8 +119,8 @@ fn capacity_is_bounded() {
 }
 
 /// Fill-unit and offline builder produce identical segments for the
-/// same stream (same config, no optimization), up to the provenance only
-/// the fill unit stamps (segment id, build cycle).
+/// same stream (same config, no optimization); the fill unit numbers its
+/// lines from 1.
 #[test]
 fn fill_unit_matches_offline_builder() {
     use tracefill_core::fill::FillUnit;
@@ -132,15 +132,13 @@ fn fill_unit_matches_offline_builder() {
         for (i, input) in stream.iter().enumerate() {
             fu.retire(*input, i as u64);
         }
-        let online = fu.drain_ready(u64::MAX - 1);
+        let online: Vec<Line> = fu.drain_ready(u64::MAX - 1);
         // The fill unit keeps its trailing partial segment pending; the
         // offline builder flushes it. Everything before that must agree.
         assert!(online.len() == offline.len() || online.len() + 1 == offline.len());
-        for (a, b) in online.iter().zip(&offline) {
-            let mut a = Segment::clone(a);
-            a.provenance.seg_id = b.provenance.seg_id;
-            a.provenance.build_cycle = b.provenance.build_cycle;
-            assert_eq!(&a, b);
+        for (i, (a, b)) in online.iter().zip(&offline).enumerate() {
+            assert_eq!(a.provenance.seg_id, i as u64 + 1);
+            assert_eq!(&**a, b);
         }
     });
 }
@@ -253,7 +251,7 @@ fn assert_memo_invisible(stream: &[FillInput], offense: Option<(usize, &'static 
         fu.retire(*input, i as u64);
     }
     assert!(fu.take_verify_failure().is_none());
-    let online = fu.drain_ready(u64::MAX - 1);
+    let online: Vec<Arc<Segment>> = fu.drain_ready(u64::MAX - 1);
 
     let offline = build_segments(stream, &cfg);
     assert!(online.len() == offline.len() || online.len() + 1 == offline.len());
@@ -273,10 +271,7 @@ fn assert_memo_invisible(stream: &[FillInput], offense: Option<(usize, &'static 
         stats.segments += 1;
         stats.slots += b.slots.len() as u64;
         stats.opts.add(counts);
-        let mut a = Segment::clone(a);
-        a.provenance.seg_id = b.provenance.seg_id;
-        a.provenance.build_cycle = b.provenance.build_cycle;
-        assert_eq!(a, b, "segment {i}");
+        assert_eq!(**a, b, "segment {i}");
     }
     assert_eq!(fu.stats(), stats);
     // Without a controller the fill unit records `fill.*` metrics only.

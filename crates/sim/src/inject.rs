@@ -20,7 +20,7 @@
 //! measures: injected vs. detected vs. masked vs. silent.
 
 use std::sync::Arc;
-use tracefill_core::segment::{SegEnd, Segment};
+use tracefill_core::segment::{Line, SegEnd, Segment};
 use tracefill_core::tcache::TcHit;
 use tracefill_util::{Json, Registry, SplitMix64};
 
@@ -156,7 +156,7 @@ pub struct FaultInjector {
     /// Trace-cache hits observed so far.
     lookup_events: u64,
     /// Segments held back by a `StallFill` fault: `(release_cycle, seg)`.
-    stalled: Vec<(u64, Arc<Segment>)>,
+    stalled: Vec<(u64, Line)>,
     /// Faults that actually fired.
     fired: u64,
     metrics: Registry,
@@ -192,14 +192,14 @@ impl FaultInjector {
         self.metrics.inc(&format!("fault.injected.{}", kind.name()));
     }
 
-    /// Offers a segment leaving the fill pipe at cycle `now`. Returns the
-    /// (possibly corrupted) segment to insert into the trace cache, or
-    /// `None` when the fault consumed it (drop) or delayed it (stall —
-    /// poll [`release_stalled`](Self::release_stalled)).
-    pub fn on_fill(&mut self, seg: Arc<Segment>, now: u64) -> Option<Arc<Segment>> {
+    /// Offers a line leaving the fill pipe at cycle `now`. Returns the
+    /// line (its segment possibly corrupted) to insert into the trace
+    /// cache, or `None` when the fault consumed it (drop) or delayed it
+    /// (stall — poll [`release_stalled`](Self::release_stalled)).
+    pub fn on_fill(&mut self, line: Line, now: u64) -> Option<Line> {
         let event = self.fill_events;
         self.fill_events += 1;
-        let mut seg = seg;
+        let mut line = line;
         // Several faults may name the same event; apply them in plan order.
         for i in 0..self.plan.faults.len() {
             let f = self.plan.faults[i];
@@ -214,31 +214,31 @@ impl FaultInjector {
                 FaultKind::StallFill => {
                     self.record(f.kind);
                     let delay = 1 + f.payload % 256;
-                    self.stalled.push((now + delay, seg));
+                    self.stalled.push((now + delay, line));
                     return None;
                 }
                 FaultKind::TruncateSegment => {
-                    if seg.slots.len() > 1 {
+                    if line.slots.len() > 1 {
                         self.record(f.kind);
-                        seg = Arc::new(truncate(&seg, f.payload));
+                        line.seg = Arc::new(truncate(&line, f.payload));
                     }
                 }
                 FaultKind::BitFlipFill => {
                     self.record(f.kind);
-                    seg = Arc::new(flip_imm_bit(&seg, f.payload, "bitflip_fill"));
+                    line.seg = Arc::new(flip_imm_bit(&line, f.payload, "bitflip_fill"));
                 }
                 FaultKind::CorruptImm => {
                     self.record(f.kind);
-                    seg = Arc::new(corrupt_imm(&seg, f.payload));
+                    line.seg = Arc::new(corrupt_imm(&line, f.payload));
                 }
                 FaultKind::BitFlipLookup => unreachable!("lookup-side"),
             }
         }
-        Some(seg)
+        Some(line)
     }
 
-    /// Returns every stalled segment whose release cycle has arrived.
-    pub fn release_stalled(&mut self, now: u64) -> Vec<Arc<Segment>> {
+    /// Returns every stalled line whose release cycle has arrived.
+    pub fn release_stalled(&mut self, now: u64) -> Vec<Line> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < self.stalled.len() {
@@ -264,7 +264,11 @@ impl FaultInjector {
                 continue;
             }
             self.record(f.kind);
-            hit.seg = Arc::new(flip_imm_bit(&hit.seg, f.payload, "bitflip_lookup"));
+            let seg = Arc::new(flip_imm_bit(&hit.seg, f.payload, "bitflip_lookup"));
+            hit.seg = Arc::new(Line {
+                seg,
+                provenance: hit.seg.provenance,
+            });
         }
         hit
     }
@@ -277,7 +281,7 @@ fn flip_imm_bit(seg: &Segment, payload: u64, label: &str) -> Segment {
     let slot = (payload as usize) % seg.slots.len();
     let bit = ((payload >> 8) % 16) as i32; // low half: keeps targets plausible
     seg.slots[slot].imm ^= 1 << bit;
-    seg.provenance.fault = Some(format!("{label} slot={slot} bit={bit}"));
+    seg.fault = Some(format!("{label} slot={slot} bit={bit}"));
     seg
 }
 
@@ -300,7 +304,7 @@ fn corrupt_imm(seg: &Segment, payload: u64) -> Segment {
     };
     let delta = 4 + (payload >> 8) % 60; // always nonzero
     seg.slots[slot].imm = seg.slots[slot].imm.wrapping_add(delta as i32);
-    seg.provenance.fault = Some(format!("corrupt_imm slot={slot} delta={delta}"));
+    seg.fault = Some(format!("corrupt_imm slot={slot} delta={delta}"));
     seg
 }
 
@@ -322,7 +326,7 @@ fn truncate(seg: &Segment, payload: u64) -> Segment {
             slot.live_out = seen.insert(d);
         }
     }
-    seg.provenance.fault = Some(format!("truncate_segment keep={k}"));
+    seg.fault = Some(format!("truncate_segment keep={k}"));
     seg
 }
 
@@ -331,10 +335,11 @@ mod tests {
     use super::*;
     use tracefill_core::builder::{build_segments, FillInput};
     use tracefill_core::config::FillConfig;
+    use tracefill_core::segment::Provenance;
     use tracefill_core::tcache::PathMatch;
     use tracefill_isa::{ArchReg, Instr, Op};
 
-    fn seg() -> Arc<Segment> {
+    fn seg() -> Line {
         let r = ArchReg::gpr;
         let inputs: Vec<FillInput> = [
             Instr::alu_imm(Op::Addi, r(8), r(9), 4),
@@ -352,11 +357,17 @@ mod tests {
             fetch_miss_head: false,
         })
         .collect();
-        Arc::new(
-            build_segments(&inputs, &FillConfig::default())
-                .pop()
-                .unwrap(),
-        )
+        Line {
+            seg: Arc::new(
+                build_segments(&inputs, &FillConfig::default())
+                    .pop()
+                    .unwrap(),
+            ),
+            provenance: Provenance {
+                seg_id: 9,
+                build_cycle: 4,
+            },
+        }
     }
 
     #[test]
@@ -383,12 +394,8 @@ mod tests {
         });
         let out = inj.on_fill(s.clone(), 10).unwrap();
         assert_eq!(inj.fired(), 1);
-        assert!(out
-            .provenance
-            .fault
-            .as_deref()
-            .unwrap()
-            .starts_with("bitflip_fill"));
+        assert_eq!(out.provenance, s.provenance);
+        assert!(out.fault.as_deref().unwrap().starts_with("bitflip_fill"));
         // Exactly one executed imm differs; every orig is untouched.
         let diffs = out
             .slots
@@ -428,10 +435,7 @@ mod tests {
         assert!(inj.release_stalled(105).is_empty());
         let released = inj.release_stalled(110);
         assert_eq!(released.len(), 1);
-        assert!(
-            released[0].provenance.fault.is_none(),
-            "stall does not corrupt"
-        );
+        assert!(released[0].fault.is_none(), "stall does not corrupt");
         assert!(inj.on_fill(s, 100).is_some()); // event 2: untouched
     }
 
@@ -475,14 +479,15 @@ mod tests {
             }],
         });
         let hit = TcHit {
-            seg: s.clone(),
+            seg: Arc::new(s.clone()),
             path: PathMatch {
                 matching_branches: 1,
                 full: true,
             },
         };
         let out = inj.on_lookup(hit, 5);
-        assert!(out.seg.provenance.fault.is_some());
-        assert!(s.provenance.fault.is_none(), "cached line untouched");
+        assert!(out.seg.fault.is_some());
+        assert_eq!(out.seg.provenance, s.provenance);
+        assert!(s.fault.is_none(), "cached line untouched");
     }
 }

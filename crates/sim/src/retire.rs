@@ -8,6 +8,7 @@ use crate::oracle::{DivergenceReport, RetireEcho, SegSource, RING_DEPTH};
 use crate::repair::RepairEvent;
 use crate::tracelog::Event as Pipe;
 use tracefill_core::builder::FillInput;
+use tracefill_core::segment::Line;
 use tracefill_isa::interp::Retired;
 use tracefill_isa::syscall;
 use tracefill_isa::ArchReg;
@@ -153,32 +154,33 @@ impl Simulator {
         }
         // Segments whose fill latency elapsed enter the trace cache,
         // routed through the fault injector when a plan is active.
-        let ready = self.fill.drain_ready(self.cycle);
+        let ready: Vec<Line> = self.fill.drain_ready(self.cycle);
         let incoming = match self.injector.as_mut() {
             Some(inj) => {
                 let mut v: Vec<_> = ready
                     .into_iter()
-                    .filter_map(|seg| inj.on_fill(seg, self.cycle))
+                    .filter_map(|line| inj.on_fill(line, self.cycle))
                     .collect();
                 v.extend(inj.release_stalled(self.cycle));
                 v
             }
             None => ready,
         };
-        for seg in incoming {
+        for line in incoming {
             // A segment carrying an injected-fault note is re-checked at
             // the cache boundary when strict verification is on: a caught
             // corruption counts as *detected* and never becomes cache
             // state. (A fault the check accepts — e.g. a truncation to a
             // valid prefix — is architecturally masked and flows through.)
-            if seg.provenance.fault.is_some()
+            if line.fault.is_some()
                 && self.fill.config().strict_verify
-                && tracefill_core::opt::strict_check(&seg).is_err()
+                && tracefill_core::opt::strict_check(&line).is_err()
             {
                 self.observers.emit(self.cycle, Event::FaultDetected);
                 continue;
             }
-            let outcome = self.tcache.insert(std::sync::Arc::clone(&seg));
+            let seg = std::sync::Arc::clone(&line.seg);
+            let outcome = self.tcache.insert(line);
             self.observers.emit(
                 self.cycle,
                 Event::Insert {

@@ -479,7 +479,7 @@ impl Simulator {
     pub fn report(&self) -> Report {
         let mut metrics = tracefill_util::Registry::new();
         self.observers.export(&mut metrics, self.cycle);
-        metrics.merge(self.fill.telemetry());
+        metrics.merge(&self.fill.telemetry());
         if let Some(inj) = &self.injector {
             metrics.merge(inj.metrics());
         }

@@ -92,9 +92,9 @@ pub fn characterize_after(program: &Program, warmup: u64, max_instrs: u64) -> Ch
             promoted: None,
             fetch_miss_head: false,
         };
-        for mut seg in builder.offer(input, &cfg) {
-            counts.add(opt::apply_all(&mut seg, &opts, &clusters));
-        }
+        builder.offer(input, &cfg, |closed| {
+            counts.add(opt::apply_all(&mut closed.to_segment(), &opts, &clusters));
+        });
     }
     if let Some(mut seg) = builder.finalize(SegEnd::Flushed) {
         counts.add(opt::apply_all(&mut seg, &opts, &clusters));

@@ -18,7 +18,7 @@ use tracefill_core::QuarantineConfig;
 use tracefill_harness::{
     pool, report, run_adapt, run_campaign_with, runner, store, AdaptSpec, CampaignOptions,
     CampaignSpec, CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunRecord,
-    RunStatus, Tally,
+    RunStatus, SpecError, Tally,
 };
 use tracefill_isa::asm::assemble;
 use tracefill_isa::interp::Interp;
@@ -450,7 +450,12 @@ fn load_spec(arg: &str) -> CampaignSpec {
         std::fs::read_to_string(arg),
         "`{arg}` is not a builtin campaign (fig8, table2) and cannot be read as a spec file: "
     );
-    or_exit!(CampaignSpec::from_json(&text), "{arg}: ")
+    match CampaignSpec::from_json(&text) {
+        Ok(spec) => spec,
+        // A misspelt or mistyped key is a usage error, like a bad flag.
+        Err(e @ SpecError::Keys(_)) => die!(2, "{arg}: {e}"),
+        Err(e) => die!(1, "{arg}: {e}"),
+    }
 }
 
 fn cmd_campaign(args: &[String]) {

@@ -8,8 +8,114 @@
 //! limits, so re-running the same scientific point — even from a differently
 //! ordered or differently parallel campaign — always maps to the same id.
 
+use std::fmt;
 use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
 use tracefill_util::{fnv1a64, Json};
+
+/// Why [`CampaignSpec::from_json`] rejected a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The spec is not a JSON object, or has a key the format does not
+    /// define or a value of the wrong JSON kind. The message names every
+    /// such key: a misspelt key would otherwise run the default silently.
+    Keys(String),
+    /// Malformed JSON, or a value the format rejects: an unknown
+    /// optimization token, benchmark, policy or controller, a bad number,
+    /// an empty axis.
+    Invalid(String),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::Keys(msg) | SpecError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for SpecError {
+    fn from(msg: String) -> SpecError {
+        SpecError::Invalid(msg)
+    }
+}
+
+/// The JSON kind a spec value must have.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Str,
+    Arr,
+    Num,
+    Bool,
+}
+
+impl Kind {
+    fn admits(self, v: &Json) -> bool {
+        matches!(
+            (self, v),
+            (Kind::Str, Json::Str(_))
+                | (Kind::Arr, Json::Arr(_))
+                | (Kind::Num, Json::Int(_) | Json::UInt(_) | Json::Float(_))
+                | (Kind::Bool, Json::Bool(_))
+        )
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Str => "a string",
+            Kind::Arr => "an array",
+            Kind::Num => "a number",
+            Kind::Bool => "true or false",
+        }
+    }
+}
+
+/// Every key of the spec format, with the kind of its value: the members
+/// [`CampaignSpec::to_json`] writes.
+const SPEC_KEYS: [(&str, Kind); 14] = [
+    ("name", Kind::Str),
+    ("opts", Kind::Arr),
+    ("fill_latencies", Kind::Arr),
+    ("benchmarks", Kind::Arr),
+    ("seeds", Kind::Arr),
+    ("warmup", Kind::Num),
+    ("budget", Kind::Num),
+    ("max_cycles", Kind::Num),
+    ("wall_limit_ms", Kind::Num),
+    ("policies", Kind::Arr),
+    ("controller", Kind::Str),
+    ("epoch_fills", Kind::Num),
+    ("ledger", Kind::Bool),
+    ("self_repair", Kind::Bool),
+];
+
+/// Checks that `v` is an object whose every key is in [`SPEC_KEYS`] with a
+/// value of that key's kind, naming every key that is not.
+fn check_keys(v: &Json) -> Result<(), SpecError> {
+    let members = v
+        .as_obj()
+        .ok_or_else(|| SpecError::Keys("a campaign spec must be a JSON object".to_string()))?;
+    let bad: Vec<String> = members
+        .iter()
+        .filter_map(
+            |(key, value)| match SPEC_KEYS.iter().find(|(k, _)| k == key) {
+                None => Some(format!("unknown key `{key}`")),
+                Some((_, kind)) if !kind.admits(value) => {
+                    Some(format!("`{key}` must be {}", kind.name()))
+                }
+                Some(_) => None,
+            },
+        )
+        .collect();
+    if bad.is_empty() {
+        return Ok(());
+    }
+    let known: Vec<&str> = SPEC_KEYS.iter().map(|(k, _)| *k).collect();
+    Err(SpecError::Keys(format!(
+        "{} (a spec has only these keys: {})",
+        bad.join("; "),
+        known.join(", ")
+    )))
+}
 
 /// A labelled optimization set — one value of the `{opt set}` axis.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,10 +387,13 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Reports malformed JSON, unknown optimization tokens, unknown
-    /// benchmark names, and empty axes.
-    pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
+    /// [`SpecError::Keys`] names every unknown key and every value of the
+    /// wrong JSON kind; [`SpecError::Invalid`] reports malformed JSON,
+    /// unknown optimization tokens, unknown benchmark names, bad numbers
+    /// and empty axes.
+    pub fn from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
+        check_keys(&v)?;
         let defaults = CampaignSpec::fig8();
         let name = v
             .get("name")
@@ -351,10 +460,10 @@ impl CampaignSpec {
                     {
                         out.push(name.to_string());
                     } else {
-                        return Err(format!(
+                        return Err(SpecError::Invalid(format!(
                             "unknown benchmark `{name}` (try one of: {})",
                             tracefill_workloads::names().join(", ")
-                        ));
+                        )));
                     }
                 }
                 out
@@ -406,7 +515,7 @@ impl CampaignSpec {
             || spec.seeds.is_empty()
             || spec.policies.is_empty()
         {
-            return Err("campaign has an empty axis".to_string());
+            return Err(SpecError::Invalid("campaign has an empty axis".to_string()));
         }
         Ok(spec)
     }
@@ -415,6 +524,32 @@ impl CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_name_every_unknown_or_mistyped_key() {
+        let err = |text: &str| match CampaignSpec::from_json(text) {
+            Err(SpecError::Keys(msg)) => msg,
+            other => panic!("{text}: expected a key error, got {other:?}"),
+        };
+        let msg = err(r#"{"warmpu": 5, "budget": 10, "opts": "none", "ledger": 1}"#);
+        assert!(msg.contains("unknown key `warmpu`"), "{msg}");
+        assert!(msg.contains("`opts` must be an array"), "{msg}");
+        assert!(msg.contains("`ledger` must be true or false"), "{msg}");
+        assert!(!msg.contains("`budget` must"), "{msg}");
+        assert!(err("[]").contains("JSON object"));
+        assert!(err(r#"{"seeds": 3}"#).contains("`seeds` must be an array"));
+        // Value errors stay what they were.
+        assert!(matches!(
+            CampaignSpec::from_json(r#"{"opts": ["bogus"]}"#),
+            Err(SpecError::Invalid(_))
+        ));
+        // Every key to_json writes is accepted back.
+        let spec = CampaignSpec::fig8();
+        assert_eq!(
+            CampaignSpec::from_json(&spec.to_json().dump()).unwrap(),
+            spec
+        );
+    }
 
     #[test]
     fn fig8_grid_is_15x2x3() {

@@ -51,7 +51,7 @@ pub mod store;
 
 pub use adapt::{run_adapt, AdaptSpec};
 pub use faults::{FaultSweep, Outcome, Tally};
-pub use grid::{CampaignSpec, OptPoint, RunDescriptor};
+pub use grid::{CampaignSpec, OptPoint, RunDescriptor, SpecError};
 pub use pool::{run_campaign, run_campaign_with, CampaignOptions, CampaignSummary};
 pub use runner::{RepairSummary, RunRecord, RunStatus};
 pub use store::ResultStore;

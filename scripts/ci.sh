@@ -77,6 +77,17 @@ cmp "$SMOKE_DIR/adapt.json" "$GOLDEN/adapt.json"
 $TF ledger --bench m88k --seed 1 --warmup 1000 --budget 8000 --json \
     > "$SMOKE_DIR/ledger.json"
 cmp "$SMOKE_DIR/ledger.json" "$GOLDEN/ledger.json"
+# The same ledger through stored campaign rows and their report. The
+# campaign's wall time is masked as `N`, as in tests/cli.rs.
+rm -f "$SMOKE_DIR/r.jsonl"
+(
+    cd "$SMOKE_DIR"
+    $TF campaign ../../tests/golden/campaign-ledger.spec.json --out r.jsonl --jobs 2 --quiet |
+        sed 's/ in [0-9.]*s -> / in Ns -> /'
+    $TF report r.jsonl --format ledger
+    $TF report r.jsonl --format repair
+) > "$SMOKE_DIR/campaign-ledger.txt"
+cmp "$SMOKE_DIR/campaign-ledger.txt" "$GOLDEN/campaign-ledger.txt"
 # The replacement-policy axis stays live through the plain run path.
 cargo run --release -q -p tracefill-bench --bin tracefill -- \
     run "$SMOKE_DIR/smoke.s" --replace trrip --json > "$SMOKE_DIR/trrip.json"

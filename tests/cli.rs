@@ -194,6 +194,42 @@ fn observer_exports_match_goldens() {
     }
 }
 
+/// The campaign path of the segment ledger: two kernels under `none` and
+/// `all` with the ledger and self-repair on, stored as campaign rows and
+/// read back by `report --format ledger` and `--format repair`. The
+/// golden is the campaign's stdout followed by both tables; the
+/// campaign's wall time is the one varying field, so it reads `N`.
+#[test]
+fn campaign_ledger_and_repair_reports_match_golden() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = scratch("campaign-ledger");
+    let spec = root.join("tests/golden/campaign-ledger.spec.json");
+    let run = |args: &[&str]| {
+        let out = bin().current_dir(&dir).args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let campaign = run(&[
+        "campaign",
+        spec.to_str().unwrap(),
+        "--out",
+        "r.jsonl",
+        "--jobs",
+        "2",
+        "--quiet",
+    ]);
+    let (head, tail) = campaign.split_once(" in ").expect("a wall-time field");
+    let (_, tail) = tail.split_once("s -> ").expect("a wall-time field");
+    let mut got = format!("{head} in Ns -> {tail}");
+    got += &run(&["report", "r.jsonl", "--format", "ledger"]);
+    got += &run(&["report", "r.jsonl", "--format", "repair"]);
+    let want = std::fs::read_to_string(root.join("tests/golden/campaign-ledger.txt")).unwrap();
+    assert!(
+        got == want,
+        "the campaign ledger no longer matches tests/golden/campaign-ledger.txt; got:\n{got}"
+    );
+}
+
 /// `doc` without any `ledger.*` member, at any depth.
 fn without_ledger(doc: &Json) -> Json {
     match doc {

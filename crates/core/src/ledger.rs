@@ -18,6 +18,20 @@
 //! those calls feed back into timing — a ledger-on run retires the same
 //! instructions in the same cycles as a ledger-off run.
 //!
+//! # Storage
+//!
+//! The fill unit hands out dense, increasing seg ids, and every fetch,
+//! retire and squash looks one up, so the records live in a `Vec`
+//! indexed by seg id: each event is one bounds check and one index.
+//! Holes (ids of segments the fill unit dropped, or not yet inserted
+//! because a stalled line comes out of the fill pipe late) are empty
+//! slots, and id 0 is slot 0. An id more than [`Ledger::MAX_GAP`] past
+//! the end of the `Vec` goes to an ordered side map instead, so a
+//! far-away id costs one map entry, not memory in proportion to its
+//! value; the side map's records move into the `Vec` once it grows over
+//! them. Records, reports and exports come out in seg-id order either
+//! way.
+//!
 //! # The ROI proxy
 //!
 //! The per-pass "estimated cycles saved" is a deterministic first-order
@@ -174,15 +188,32 @@ fn pass_count(c: &OptCounts, pass: &str) -> u64 {
 #[derive(Debug)]
 pub struct Ledger {
     enabled: bool,
-    records: BTreeMap<u64, SegRecord>,
+    /// `dense[id]` is seg id `id`'s slot, for every id below
+    /// `dense.len()`; a hole is an id never inserted.
+    dense: Vec<Option<SegRecord>>,
+    /// Records of ids at or past `dense.len()` that lay more than
+    /// [`Ledger::MAX_GAP`] past its end when inserted, in id order.
+    far: BTreeMap<u64, SegRecord>,
+    /// Number of records in both parts.
+    len: usize,
 }
 
 impl Ledger {
+    /// How far past the end of the dense part an inserted id may lie and
+    /// still grow it; a farther id goes to the ordered side map, so no
+    /// id costs memory in proportion to its value. The fill unit hands
+    /// out ids in increasing order, leaving short runs of holes for
+    /// segments it dropped and inserting stall-released lines a little
+    /// late, so its ids all land in the dense part.
+    pub const MAX_GAP: usize = 64;
+
     /// Creates a ledger; `enabled = false` makes every event a no-op.
     pub fn new(enabled: bool) -> Ledger {
         Ledger {
             enabled,
-            records: BTreeMap::new(),
+            dense: Vec::new(),
+            far: BTreeMap::new(),
+            len: 0,
         }
     }
 
@@ -193,22 +224,64 @@ impl Ledger {
 
     /// Number of ledgered segments.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// The record for `seg_id`, if ledgered.
     pub fn get(&self, seg_id: u64) -> Option<&SegRecord> {
-        self.records.get(&seg_id)
+        match usize::try_from(seg_id) {
+            Ok(i) if i < self.dense.len() => self.dense[i].as_ref(),
+            _ => self.far.get(&seg_id),
+        }
+    }
+
+    fn get_mut(&mut self, seg_id: u64) -> Option<&mut SegRecord> {
+        match usize::try_from(seg_id) {
+            Ok(i) if i < self.dense.len() => self.dense[i].as_mut(),
+            _ => self.far.get_mut(&seg_id),
+        }
     }
 
     /// All records in seg-id order.
-    pub fn records(&self) -> impl Iterator<Item = &SegRecord> {
-        self.records.values()
+    pub fn records(&self) -> impl Iterator<Item = &SegRecord> + Clone {
+        self.dense.iter().flatten().chain(self.far.values())
+    }
+
+    /// Stores `rec` under its seg id, replacing any record there.
+    fn put(&mut self, rec: SegRecord) {
+        let end = self.dense.len();
+        let slot = match usize::try_from(rec.seg_id) {
+            Ok(i) if i < end => &mut self.dense[i],
+            Ok(i) if i - end <= Self::MAX_GAP => {
+                self.dense.resize_with(i + 1, || None);
+                self.adopt_far();
+                &mut self.dense[i]
+            }
+            _ => {
+                self.len += self.far.insert(rec.seg_id, rec).is_none() as usize;
+                return;
+            }
+        };
+        self.len += slot.is_none() as usize;
+        *slot = Some(rec);
+    }
+
+    /// Moves the side map's records that the grown dense part now
+    /// covers into it.
+    fn adopt_far(&mut self) {
+        let end = self.dense.len() as u64;
+        if self.far.first_key_value().is_none_or(|(&id, _)| id >= end) {
+            return;
+        }
+        let beyond = self.far.split_off(&end);
+        for (id, rec) in std::mem::replace(&mut self.far, beyond) {
+            self.dense[id as usize] = Some(rec);
+        }
     }
 
     /// Segment `seg` entered the trace cache at cycle `now`; `outcome`
@@ -224,30 +297,27 @@ impl Ledger {
             Displaced::Evicted(prev) => Some((prev, EvictCause::Conflict)),
         };
         if let Some((prev, cause)) = cause {
-            if let Some(rec) = self.records.get_mut(&prev.provenance.seg_id) {
+            if let Some(rec) = self.get_mut(prev.provenance.seg_id) {
                 rec.evicted = Some((now, cause));
             }
         }
         let p = outcome.provenance;
-        self.records.insert(
-            p.seg_id,
-            SegRecord {
-                seg_id: p.seg_id,
-                start_pc: seg.start_pc,
-                len: seg.slots.len() as u8,
-                end: seg.end.name(),
-                opt_counts: seg.opt_counts,
-                loop_seg: seg.end == crate::segment::SegEnd::Loop,
-                transformed: seg.slots.iter().any(|s| s.is_transformed()),
-                build_cycle: p.build_cycle,
-                insert_cycle: now,
-                hits: 0,
-                uops_fetched: 0,
-                uops_retired: 0,
-                uops_squashed: 0,
-                evicted: None,
-            },
-        );
+        self.put(SegRecord {
+            seg_id: p.seg_id,
+            start_pc: seg.start_pc,
+            len: seg.slots.len() as u8,
+            end: seg.end.name(),
+            opt_counts: seg.opt_counts,
+            loop_seg: seg.end == crate::segment::SegEnd::Loop,
+            transformed: seg.slots.iter().any(|s| s.is_transformed()),
+            build_cycle: p.build_cycle,
+            insert_cycle: now,
+            hits: 0,
+            uops_fetched: 0,
+            uops_retired: 0,
+            uops_squashed: 0,
+            evicted: None,
+        });
     }
 
     /// A trace-cache hit delivered `uops` slots from segment `seg_id`.
@@ -255,7 +325,7 @@ impl Ledger {
         if !self.enabled {
             return;
         }
-        if let Some(rec) = self.records.get_mut(&seg_id) {
+        if let Some(rec) = self.get_mut(seg_id) {
             rec.hits += 1;
             rec.uops_fetched += uops;
         }
@@ -266,7 +336,7 @@ impl Ledger {
         if !self.enabled {
             return;
         }
-        if let Some(rec) = self.records.get_mut(&seg_id) {
+        if let Some(rec) = self.get_mut(seg_id) {
             rec.uops_retired += 1;
         }
     }
@@ -278,7 +348,7 @@ impl Ledger {
         if !self.enabled {
             return;
         }
-        if let Some(rec) = self.records.get_mut(&seg_id) {
+        if let Some(rec) = self.get_mut(seg_id) {
             if rec.evicted.is_none() {
                 rec.evicted = Some((now, EvictCause::Repair));
             }
@@ -290,7 +360,7 @@ impl Ledger {
         if !self.enabled {
             return;
         }
-        if let Some(rec) = self.records.get_mut(&seg_id) {
+        if let Some(rec) = self.get_mut(seg_id) {
             rec.uops_squashed += 1;
         }
     }
@@ -298,14 +368,13 @@ impl Ledger {
     /// Total retired uops attributed to ledgered segments (the
     /// conservation numerator against the machine's `retired_from_tc`).
     pub fn attributed_retired(&self) -> u64 {
-        self.records.values().map(|r| r.uops_retired).sum()
+        self.records().map(|r| r.uops_retired).sum()
     }
 
     /// Segment life spans for the Chrome-trace exporter, in seg-id
     /// order; still-resident lines are closed at `now`.
     pub fn spans(&self, now: u64) -> Vec<SegSpan> {
-        self.records
-            .values()
+        self.records()
             .map(|r| SegSpan {
                 seg_id: r.seg_id,
                 start_pc: r.start_pc,
@@ -325,125 +394,139 @@ impl Ledger {
     /// dumps to identical bytes. `top` caps the most-reused-segments
     /// table (hits descending, then seg-id ascending).
     pub fn report(&self, now: u64, top: usize) -> Json {
-        let mut reuse = Histogram::new(REUSE_BOUNDS);
-        let mut residency = Histogram::new(RESIDENCY_BOUNDS);
-        let mut saved_per_seg = Histogram::new(SAVED_BOUNDS);
-        let mut doa = 0u64;
-        let mut resident = 0u64;
-        let mut conflict = 0u64;
-        let mut refresh = 0u64;
-        let mut repair = 0u64;
-        let (mut hits, mut fetched, mut retired, mut squashed) = (0u64, 0u64, 0u64, 0u64);
-        for r in self.records.values() {
-            reuse.observe(r.hits);
-            residency.observe(r.residency(now));
-            saved_per_seg.observe(r.est_cycles_saved());
-            doa += r.is_doa() as u64;
-            match r.evicted {
-                None => resident += 1,
-                Some((_, EvictCause::Conflict)) => conflict += 1,
-                Some((_, EvictCause::Refresh)) => refresh += 1,
-                Some((_, EvictCause::Repair)) => repair += 1,
-            }
-            hits += r.hits;
-            fetched += r.uops_fetched;
-            retired += r.uops_retired;
-            squashed += r.uops_squashed;
-        }
-        let mut per_pass = Json::object();
-        for pass in LEDGER_PASSES {
-            let mut segments = 0u64;
-            let mut transforms = 0u64;
-            let mut saved = 0u64;
-            let mut saved_hist = Histogram::new(SAVED_BOUNDS);
-            for r in self.records.values() {
-                let n = pass_count(&r.opt_counts, pass);
-                if n == 0 {
-                    continue;
-                }
-                segments += 1;
-                transforms += n;
-                let s = n * r.hits;
-                saved += s;
-                saved_hist.observe(s);
-            }
-            per_pass = per_pass.with(
-                pass,
-                Json::object()
-                    .with("segments", segments)
-                    .with("transforms", transforms)
-                    .with("est_cycles_saved", saved)
-                    .with("saved_per_segment", saved_hist.to_json()),
-            );
-        }
-        let mut by_reuse: Vec<&SegRecord> = self.records.values().collect();
-        by_reuse.sort_by(|a, b| b.hits.cmp(&a.hits).then(a.seg_id.cmp(&b.seg_id)));
-        let top_rows: Vec<Json> = by_reuse
-            .iter()
-            .take(top)
-            .map(|r| {
-                Json::object()
-                    .with("seg_id", r.seg_id)
-                    .with("start_pc", u64::from(r.start_pc))
-                    .with("len", u64::from(r.len))
-                    .with("end", r.end)
-                    .with("hits", r.hits)
-                    .with("uops_retired", r.uops_retired)
-                    .with("residency", r.residency(now))
-                    .with(
-                        "passes",
-                        Json::Arr(r.opt_counts_passes().into_iter().map(Json::from).collect()),
-                    )
-                    .with("est_cycles_saved", r.est_cycles_saved())
-            })
-            .collect();
-        Json::object()
-            .with("segments", self.records.len())
-            .with("resident", resident)
-            .with(
-                "evicted",
-                Json::object()
-                    .with("conflict", conflict)
-                    .with("refresh", refresh)
-                    .with("repair", repair),
-            )
-            .with("doa", doa)
-            .with("hits", hits)
-            .with("uops_fetched", fetched)
-            .with("uops_retired", retired)
-            .with("uops_squashed", squashed)
-            .with("reuse", reuse.to_json())
-            .with("residency", residency.to_json())
-            .with("saved_per_segment", saved_per_seg.to_json())
-            .with("per_pass", per_pass)
-            .with("top", Json::Arr(top_rows))
+        report(self.records(), now, top)
     }
 
     /// Exports the ledger summary into a metrics registry under
     /// `ledger.*` keys, so harness run records carry it without a schema
     /// change.
     pub fn export_metrics(&self, reg: &mut Registry, now: u64) {
-        reg.add("ledger.segments", self.records.len() as u64);
-        for r in self.records.values() {
-            reg.observe("ledger.reuse", REUSE_BOUNDS, r.hits);
-            reg.observe("ledger.residency", RESIDENCY_BOUNDS, r.residency(now));
-            reg.observe("ledger.saved_per_seg", SAVED_BOUNDS, r.est_cycles_saved());
-            if r.is_doa() {
-                reg.inc("ledger.doa");
+        export_metrics(self.records(), reg, now);
+    }
+}
+
+/// [`Ledger::report`] over `records`, given in seg-id order.
+fn report<'a>(records: impl Iterator<Item = &'a SegRecord> + Clone, now: u64, top: usize) -> Json {
+    let mut reuse = Histogram::new(REUSE_BOUNDS);
+    let mut residency = Histogram::new(RESIDENCY_BOUNDS);
+    let mut saved_per_seg = Histogram::new(SAVED_BOUNDS);
+    let mut doa = 0u64;
+    let mut resident = 0u64;
+    let mut conflict = 0u64;
+    let mut refresh = 0u64;
+    let mut repair = 0u64;
+    let (mut hits, mut fetched, mut retired, mut squashed) = (0u64, 0u64, 0u64, 0u64);
+    for r in records.clone() {
+        reuse.observe(r.hits);
+        residency.observe(r.residency(now));
+        saved_per_seg.observe(r.est_cycles_saved());
+        doa += r.is_doa() as u64;
+        match r.evicted {
+            None => resident += 1,
+            Some((_, EvictCause::Conflict)) => conflict += 1,
+            Some((_, EvictCause::Refresh)) => refresh += 1,
+            Some((_, EvictCause::Repair)) => repair += 1,
+        }
+        hits += r.hits;
+        fetched += r.uops_fetched;
+        retired += r.uops_retired;
+        squashed += r.uops_squashed;
+    }
+    let mut per_pass = Json::object();
+    for pass in LEDGER_PASSES {
+        let mut segments = 0u64;
+        let mut transforms = 0u64;
+        let mut saved = 0u64;
+        let mut saved_hist = Histogram::new(SAVED_BOUNDS);
+        for r in records.clone() {
+            let n = pass_count(&r.opt_counts, pass);
+            if n == 0 {
+                continue;
             }
-            match r.evicted {
-                None => reg.inc("ledger.resident"),
-                Some((_, c)) => reg.inc(&format!("ledger.evict.{}", c.name())),
-            }
-            reg.add("ledger.hits", r.hits);
-            reg.add("ledger.uops_fetched", r.uops_fetched);
-            reg.add("ledger.uops_retired", r.uops_retired);
-            reg.add("ledger.uops_squashed", r.uops_squashed);
-            for pass in LEDGER_PASSES {
-                let n = pass_count(&r.opt_counts, pass);
-                if n > 0 {
-                    reg.add(&format!("ledger.saved.{pass}"), n * r.hits);
-                }
+            segments += 1;
+            transforms += n;
+            let s = n * r.hits;
+            saved += s;
+            saved_hist.observe(s);
+        }
+        per_pass = per_pass.with(
+            pass,
+            Json::object()
+                .with("segments", segments)
+                .with("transforms", transforms)
+                .with("est_cycles_saved", saved)
+                .with("saved_per_segment", saved_hist.to_json()),
+        );
+    }
+    let mut by_reuse: Vec<&SegRecord> = records.collect();
+    by_reuse.sort_by(|a, b| b.hits.cmp(&a.hits).then(a.seg_id.cmp(&b.seg_id)));
+    let top_rows: Vec<Json> = by_reuse
+        .iter()
+        .take(top)
+        .map(|r| {
+            Json::object()
+                .with("seg_id", r.seg_id)
+                .with("start_pc", u64::from(r.start_pc))
+                .with("len", u64::from(r.len))
+                .with("end", r.end)
+                .with("hits", r.hits)
+                .with("uops_retired", r.uops_retired)
+                .with("residency", r.residency(now))
+                .with(
+                    "passes",
+                    Json::Arr(r.opt_counts_passes().into_iter().map(Json::from).collect()),
+                )
+                .with("est_cycles_saved", r.est_cycles_saved())
+        })
+        .collect();
+    Json::object()
+        .with("segments", by_reuse.len())
+        .with("resident", resident)
+        .with(
+            "evicted",
+            Json::object()
+                .with("conflict", conflict)
+                .with("refresh", refresh)
+                .with("repair", repair),
+        )
+        .with("doa", doa)
+        .with("hits", hits)
+        .with("uops_fetched", fetched)
+        .with("uops_retired", retired)
+        .with("uops_squashed", squashed)
+        .with("reuse", reuse.to_json())
+        .with("residency", residency.to_json())
+        .with("saved_per_segment", saved_per_seg.to_json())
+        .with("per_pass", per_pass)
+        .with("top", Json::Arr(top_rows))
+}
+
+/// [`Ledger::export_metrics`] over `records`, given in seg-id order.
+fn export_metrics<'a>(
+    records: impl Iterator<Item = &'a SegRecord> + Clone,
+    reg: &mut Registry,
+    now: u64,
+) {
+    reg.add("ledger.segments", records.clone().count() as u64);
+    for r in records {
+        reg.observe("ledger.reuse", REUSE_BOUNDS, r.hits);
+        reg.observe("ledger.residency", RESIDENCY_BOUNDS, r.residency(now));
+        reg.observe("ledger.saved_per_seg", SAVED_BOUNDS, r.est_cycles_saved());
+        if r.is_doa() {
+            reg.inc("ledger.doa");
+        }
+        match r.evicted {
+            None => reg.inc("ledger.resident"),
+            Some((_, c)) => reg.inc(&format!("ledger.evict.{}", c.name())),
+        }
+        reg.add("ledger.hits", r.hits);
+        reg.add("ledger.uops_fetched", r.uops_fetched);
+        reg.add("ledger.uops_retired", r.uops_retired);
+        reg.add("ledger.uops_squashed", r.uops_squashed);
+        for pass in LEDGER_PASSES {
+            let n = pass_count(&r.opt_counts, pass);
+            if n > 0 {
+                reg.add(&format!("ledger.saved.{pass}"), n * r.hits);
             }
         }
     }
@@ -539,6 +622,8 @@ mod tests {
     use crate::tcache::TraceCache;
     use std::sync::Arc;
     use tracefill_isa::{ArchReg, Instr, Op};
+    use tracefill_util::prop::{check, coin, range};
+    use tracefill_util::SplitMix64;
 
     /// A line of a one-branch segment at `pc` with a synthetic seg id.
     fn seg(pc: u32, seg_id: u64, taken: bool) -> Line {
@@ -739,5 +824,190 @@ mod tests {
             3,
             "one reuse sample per segment"
         );
+    }
+
+    /// The record [`Ledger::on_insert`] opens for `line` at cycle `now`,
+    /// built field by field for the model.
+    fn opened(line: &Line, now: u64) -> SegRecord {
+        SegRecord {
+            seg_id: line.provenance.seg_id,
+            start_pc: line.start_pc,
+            len: line.slots.len() as u8,
+            end: line.end.name(),
+            opt_counts: line.opt_counts,
+            loop_seg: line.end == crate::segment::SegEnd::Loop,
+            transformed: line.slots.iter().any(|s| s.is_transformed()),
+            build_cycle: line.provenance.build_cycle,
+            insert_cycle: now,
+            hits: 0,
+            uops_fetched: 0,
+            uops_retired: 0,
+            uops_squashed: 0,
+            evicted: None,
+        }
+    }
+
+    /// A seg id for the next event: mostly the next fresh id (sometimes
+    /// after a hole), else one a little behind it (a stall-released line,
+    /// or an id already in the ledger), id 0, or an id far past the rest.
+    fn pick_id(rng: &mut SplitMix64, next: &mut u64) -> u64 {
+        match range(rng, 0, 16) {
+            0..=8 => {
+                *next += range(rng, 0, 3) as u64;
+                *next += 1;
+                *next - 1
+            }
+            9..=12 => next.saturating_sub(range(rng, 1, 12) as u64),
+            13 => 0,
+            14 => *next + Ledger::MAX_GAP as u64 + range(rng, 1, 200) as u64,
+            _ => (1 << 40) + range(rng, 0, 4) as u64,
+        }
+    }
+
+    /// The dense ledger against a `BTreeMap` journal driven by the same
+    /// events: inserts that open records (over holes, out of order, over
+    /// an id already there, at id 0 and far past the rest) while
+    /// refreshing or evicting a line, hits, retirements, squashes and
+    /// invalidations, of ids present and absent. After every event `len`,
+    /// `get` and `records()` agree, and at the end so do `report` and
+    /// `export_metrics`.
+    #[test]
+    fn dense_ledger_matches_a_btreemap_model() {
+        let segs: Vec<Arc<Segment>> = [(0x1000, true), (0x2040, false), (0x3000, true)]
+            .map(|(pc, taken)| seg(pc, 0, taken).seg)
+            .into();
+        check("dense_ledger_matches_a_btreemap_model", 128, |rng| {
+            let mut led = Ledger::new(true);
+            let mut model: BTreeMap<u64, SegRecord> = BTreeMap::new();
+            let mut next = range(rng, 0, 3) as u64;
+            for now in 0..200u64 {
+                let id = pick_id(rng, &mut next);
+                match range(rng, 0, 10) {
+                    0..=3 => {
+                        let line = Line {
+                            seg: Arc::clone(&segs[range(rng, 0, 3) as usize]),
+                            provenance: Provenance {
+                                seg_id: id,
+                                build_cycle: now.saturating_sub(3),
+                            },
+                        };
+                        let prev = pick_id(rng, &mut next.clone());
+                        let prev_line = || {
+                            Arc::new(Line {
+                                seg: Arc::clone(&segs[0]),
+                                provenance: Provenance {
+                                    seg_id: prev,
+                                    build_cycle: 0,
+                                },
+                            })
+                        };
+                        let (displaced, cause) = match range(rng, 0, 3) {
+                            0 => (Displaced::Nothing, None),
+                            1 => (Displaced::Refreshed(prev_line()), Some(EvictCause::Refresh)),
+                            _ => (Displaced::Evicted(prev_line()), Some(EvictCause::Conflict)),
+                        };
+                        let outcome = InsertOutcome {
+                            provenance: line.provenance,
+                            displaced,
+                        };
+                        led.on_insert(&line, &outcome, now);
+                        if let Some(cause) = cause {
+                            if let Some(r) = model.get_mut(&prev) {
+                                r.evicted = Some((now, cause));
+                            }
+                        }
+                        model.insert(id, opened(&line, now));
+                    }
+                    4..=5 => {
+                        let uops = range(rng, 1, 17) as u64;
+                        led.on_fetch(id, uops);
+                        if let Some(r) = model.get_mut(&id) {
+                            r.hits += 1;
+                            r.uops_fetched += uops;
+                        }
+                    }
+                    6..=7 => {
+                        led.on_retire(id);
+                        if let Some(r) = model.get_mut(&id) {
+                            r.uops_retired += 1;
+                        }
+                    }
+                    8 => {
+                        led.on_squash(id);
+                        if let Some(r) = model.get_mut(&id) {
+                            r.uops_squashed += 1;
+                        }
+                    }
+                    _ => {
+                        led.on_invalidate(id, now);
+                        if let Some(r) = model.get_mut(&id) {
+                            if r.evicted.is_none() {
+                                r.evicted = Some((now, EvictCause::Repair));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(led.len(), model.len());
+                assert_eq!(led.is_empty(), model.is_empty());
+                assert_eq!(led.get(id), model.get(&id), "seg id {id}");
+                if coin(rng) {
+                    assert!(led.records().eq(model.values()));
+                }
+            }
+            assert!(led.records().eq(model.values()));
+            for probe in (0..next + 4).chain([1 << 40, u64::MAX]) {
+                assert_eq!(led.get(probe), model.get(&probe), "seg id {probe}");
+            }
+            let now = 250;
+            let top = range(rng, 0, 12) as usize;
+            assert_eq!(
+                led.report(now, top).dump(),
+                report(model.values(), now, top).dump()
+            );
+            let (mut got, mut want) = (Registry::new(), Registry::new());
+            led.export_metrics(&mut got, now);
+            export_metrics(model.values(), &mut want, now);
+            assert_eq!(got, want);
+        });
+    }
+
+    /// A far-away seg id costs one side-map entry: the dense part does not
+    /// grow toward it, and grows over it only once nearer ids reach it.
+    #[test]
+    fn a_far_away_seg_id_allocates_nothing_in_proportion_to_it() {
+        let mut led = Ledger::new(true);
+        let mut cache = tc();
+        let mut insert = |led: &mut Ledger, id: u64| {
+            let mut s = seg(0x1000 + 0x40 * (id as u32 % 64), 0, true);
+            s.provenance.seg_id = id;
+            let out = cache.insert(s.clone());
+            led.on_insert(&s, &out, id);
+        };
+        insert(&mut led, 0);
+        insert(&mut led, 1 << 40);
+        insert(&mut led, u64::MAX);
+        assert_eq!(led.dense.len(), 1, "only id 0 is dense");
+        assert!(led.dense.capacity() < 1 << 10);
+        assert_eq!(led.far.len(), 2);
+        led.on_fetch(1 << 40, 3);
+        assert_eq!(led.get(1 << 40).map(|r| r.hits), Some(1));
+        let ids: Vec<u64> = led.records().map(|r| r.seg_id).collect();
+        assert_eq!(ids, [0, 1 << 40, u64::MAX]);
+
+        // Id 100 is past the gap from the dense end at 1, so it waits in
+        // the side map; the dense part adopts it once ids 1..=40 arrive.
+        insert(&mut led, 100);
+        assert_eq!(led.far.len(), 3);
+        for id in 1..=40 {
+            insert(&mut led, id);
+        }
+        assert_eq!(led.dense.len(), 41);
+        insert(&mut led, 101);
+        assert_eq!(led.dense.len(), 102);
+        assert_eq!(led.far.len(), 2, "id 100 moved into the dense part");
+        assert_eq!(led.len(), 45);
+        let ids: Vec<u64> = led.records().map(|r| r.seg_id).collect();
+        assert_eq!(ids.len(), 45);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "seg-id order");
     }
 }

@@ -120,7 +120,7 @@ impl Simulator {
         let mut i = 0;
         while let Some(&id) = self.sched.unaddressed.get(i) {
             let u = &self.uops[id];
-            let cluster = self.cluster_of(u.fu);
+            let cluster = u.cluster;
             if u.srcs[0].is_some_and(|p| self.phys.avail_at(p, cluster) > now) {
                 i += 1;
                 continue;
@@ -239,7 +239,7 @@ impl Simulator {
     fn execute_uop(&mut self, id: UopId, load: Option<LoadAction>) {
         let now = self.cycle;
         let u = &self.uops[id];
-        let cluster = self.cluster_of(u.fu);
+        let cluster = u.cluster;
 
         // Bypass-delay accounting (Figure 7): did the last-arriving operand
         // pay a cross-cluster penalty?

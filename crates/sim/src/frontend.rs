@@ -5,7 +5,6 @@ use crate::observe::Event;
 use crate::tracelog::Event as Pipe;
 use crate::uop::{BranchFetchMeta, FetchBundle, FetchSlot, ShadowResume, SlotSource};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use tracefill_core::segment::Line;
 use tracefill_core::tcache::TcHit;
 use tracefill_isa::{ArchReg, Instr, Op};
@@ -80,14 +79,16 @@ impl Simulator {
         }
     }
 
-    /// Builds a bundle from a trace cache line. Each slot names its
-    /// instruction by position in the line; issue reads the rest there.
+    /// Builds a bundle from a trace cache line. The bundle holds the
+    /// line once; each slot names its instruction by position in it, and
+    /// issue reads the rest there.
     fn fetch_from_line(
         &mut self,
         hit: TcHit,
         preds: &[tracefill_uarch::pht::Prediction; 3],
     ) -> Option<FetchBundle> {
-        let seg: &Arc<Line> = &hit.seg;
+        let line = hit.seg;
+        let seg: &Line = &line;
         let mut slots = self.slot_buffer();
         let mut diverge_at: Option<usize> = None;
         let mut pred_idx = 0usize;
@@ -171,7 +172,7 @@ impl Simulator {
             }
 
             slots.push_back(FetchSlot {
-                src: SlotSource::Line(Arc::clone(seg), i as u8),
+                src: SlotSource::Line(i as u8),
                 fu: seg.issue_pos[i],
                 miss_head: false,
                 inactive: in_shadow,
@@ -208,6 +209,7 @@ impl Simulator {
         }
 
         Some(FetchBundle {
+            line: Some(line),
             slots,
             diverge_at,
             shadow_resume,
@@ -331,6 +333,7 @@ impl Simulator {
         }
         self.fetch_pc = next_fetch;
         Some(FetchBundle {
+            line: None,
             slots,
             diverge_at: None,
             shadow_resume: ShadowResume::Pc(0),

@@ -56,7 +56,9 @@ impl Simulator {
                 self.cpi_flags.issue_backpressure = true;
                 return;
             }
-            let line = slot.src.line();
+            let line = slot
+                .src
+                .line(p.bundle.line.as_deref().or(self.lines.last()));
             let needs_ckpt = !slot.inactive && (line.op.is_cond_branch() || line.op.is_indirect());
             if needs_ckpt {
                 if ckpts >= self.cfg.checkpoints_per_cycle {
@@ -112,7 +114,8 @@ impl Simulator {
     }
 
     /// Renames and dispatches one slot, building its uop once, in the
-    /// uop table.
+    /// uop table. The bundle's first uop moves the bundle's line into the
+    /// in-flight lines, where later slots read it.
     fn issue_slot(&mut self, slot: FetchSlot) {
         let FetchSlot {
             src,
@@ -122,8 +125,14 @@ impl Simulator {
             branch,
         } = slot;
         let id = self.new_uop_id();
+        let pend = self.pending.as_mut().expect("issuing a pending bundle");
+        if let Some(line) = pend.bundle.line.take() {
+            self.lines.push(id, line);
+        }
         let from_tc = matches!(src, SlotSource::Line(..));
-        let line = src.line();
+        let seg = self.lines.last().filter(|_| from_tc);
+        let seg_id = seg.map_or(0, |l| l.provenance.seg_id);
+        let line = src.line(seg).into_owned();
         let (pc, op) = (line.pc, line.op);
 
         let mut srcs = [None, None];
@@ -237,10 +246,6 @@ impl Simulator {
         // The uop itself, built once, in its table slot.
         let (instr, imm, scadd) = (line.orig, line.imm, line.scadd);
         let (is_move, reassociated) = (line.is_move, line.reassociated);
-        let seg = match src {
-            SlotSource::Line(seg, _) => Some(seg),
-            SlotSource::Raw(..) => None,
-        };
         self.uops.insert(Uop {
             id,
             pc,
@@ -263,7 +268,8 @@ impl Simulator {
             mem_deferred: in_shadow && mem.is_some(),
             bypass_delayed: false,
             fu_executed: false,
-            seg,
+            cluster: self.cfg.clusters.cluster_of(fu),
+            seg: seg_id,
         });
         self.sched.fit_ring(self.uops.ring_len(), self.uops.base());
 

@@ -36,17 +36,26 @@
 //! # Uop lifecycle
 //!
 //! A uop is built once and never copied. Fetch fills a reused slot
-//! buffer; a trace-cache slot names its instruction by position in the
-//! line it came from. Issue moves each slot out of its bundle and builds
-//! the uop in its slot of the uop table, a power-of-two ring indexed by
-//! `id & mask` over the span of live ids (grown by doubling), reading the
-//! executed form from the line and taking the line's `Arc` by move; an
-//! active branch's checkpoint takes the fetch-time return-stack snapshot
-//! by move too, and that snapshot is itself one reference count, since
-//! the return stack is copy on write. Squash, shadow discard and retire
-//! read the fields they need in place; then the table drops the uop where
-//! it lies and moves its base past empty slots. Nothing is popped out or
-//! returned.
+//! buffer; a trace-cache bundle holds its line's `Arc` once, and each of
+//! its slots names its instruction by position in that line. When the
+//! bundle's first uop issues, the `Arc` moves out of the bundle into the
+//! in-flight lines, a queue of `(first uop id, line)` in id order, and
+//! the bundle's later slots read the line there. Issue moves each slot
+//! out of its bundle and builds the uop in its slot of the uop table, a
+//! power-of-two ring indexed by `id & mask` over the span of live ids
+//! (grown by doubling), reading the executed form from the line; the uop
+//! keeps only the line's seg id and its functional unit's cluster, and
+//! owns nothing that needs dropping. An active branch's checkpoint takes
+//! the fetch-time return-stack snapshot by move, and that snapshot is
+//! itself one reference count, since the return stack is copy on write.
+//! Squash, shadow discard and retire read the fields they need in place;
+//! then the table drops the uop where it lies and moves its base past
+//! empty slots. Nothing is popped out or returned, and no reference
+//! count moves per uop: retirement drops a line once none of its
+//! bundle's uops is in flight, a squash drops the lines of the bundles
+//! younger than its anchor, and a divergence report or self-repair finds
+//! a uop's line (the fetched copy, which a read-path fault may have
+//! corrupted) by its id.
 //!
 //! # Scheduling
 //!
@@ -71,7 +80,7 @@ use crate::physreg::{PhysFile, PhysReg};
 use crate::sched::Scheduler;
 use crate::stats::{Report, Stats};
 use crate::tracelog::TraceLog;
-use crate::uop::{FetchBundle, FetchSlot, UopId, UopTable};
+use crate::uop::{FetchBundle, FetchSlot, InFlightLines, UopId, UopTable};
 use std::collections::VecDeque;
 use std::fmt;
 use tracefill_core::fill::FillUnit;
@@ -272,6 +281,9 @@ pub struct Simulator {
 
     // Window and backend.
     pub(crate) uops: UopTable,
+    /// The trace line of each bundle with uops in flight, under its
+    /// first uop's id.
+    pub(crate) lines: InFlightLines,
     pub(crate) window: VecDeque<UopId>,
     /// Inactive continuations, in id order of their anchors.
     pub(crate) shadows: Vec<Shadow>,
@@ -371,6 +383,7 @@ impl Simulator {
             next_uop_id: 0,
             checkpoints: VecDeque::new(),
             uops: UopTable::default(),
+            lines: InFlightLines::default(),
             window: VecDeque::new(),
             shadows: Vec::new(),
             stores: VecDeque::new(),
@@ -720,9 +733,12 @@ impl Simulator {
         self.window.binary_search(&id).ok()
     }
 
-    /// The cluster of a functional unit.
-    pub(crate) fn cluster_of(&self, fu: u8) -> u8 {
-        self.cfg.clusters.cluster_of(fu)
+    /// The trace line uop `id` was fetched from, as fetched (a
+    /// read-path fault corrupts the fetched copy, not the cached line);
+    /// `None` for an instruction-cache uop or one no longer in flight.
+    pub(crate) fn fetched_line(&self, id: UopId) -> Option<&tracefill_core::segment::Line> {
+        self.uops.get(id).filter(|u| u.from_tc)?;
+        self.lines.of(id)
     }
 }
 
@@ -779,3 +795,117 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Simulator>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::inject::{FaultKind, FaultPlan};
+    use tracefill_core::config::OptConfig;
+    use tracefill_isa::asm::assemble;
+    use tracefill_workloads::gen::{generate, PatternMix};
+
+    /// Steps `sim` up to `cycles` cycles or to its halt, checking the
+    /// in-flight lines after every cycle: they are in id order; every
+    /// in-flight trace-cache uop finds its bundle's line and that line
+    /// carries the uop's seg id; and every line covers a trace-cache uop
+    /// in flight, so there are never more lines than bundles with uops
+    /// in flight. Returns the number of lines seen across the run.
+    fn step_checking_lines(sim: &mut Simulator, cycles: u64) -> usize {
+        let mut seen = 0;
+        for _ in 0..cycles {
+            if sim.halted.is_some() {
+                break;
+            }
+            sim.step_cycle().expect("the run stays clean or contained");
+            let firsts: Vec<UopId> = sim.lines.iter().map(|(first, _)| first).collect();
+            assert!(firsts.windows(2).all(|w| w[0] < w[1]), "id order");
+            let mut covered = vec![false; firsts.len()];
+            for u in sim.uops.values().filter(|u| u.from_tc) {
+                let line = sim.lines.of(u.id).expect("a trace-cache uop's line");
+                assert_eq!(line.provenance.seg_id, u.seg, "uop {}", u.id);
+                covered[firsts.partition_point(|&f| f <= u.id) - 1] = true;
+            }
+            let idle = covered.iter().position(|&c| !c);
+            assert_eq!(
+                idle, None,
+                "cycle {}: a line with no uop in flight",
+                sim.cycle
+            );
+            seen += firsts.len();
+        }
+        seen
+    }
+
+    #[test]
+    fn in_flight_lines_follow_a_mispredict_heavy_kernel() {
+        let go = tracefill_workloads::by_name("go").unwrap();
+        let mut sim = Simulator::new(&go.program(2).unwrap(), SimConfig::default());
+        assert!(step_checking_lines(&mut sim, 30_000) > 0);
+        let s = sim.stats();
+        assert!(
+            s.branch_mispredicts > 100 && s.squashed_uops > 1000,
+            "{s:?}"
+        );
+    }
+
+    /// A branch the predictor cannot learn, inside trace lines that embed
+    /// one direction: shadows are activated and discarded throughout.
+    #[test]
+    fn in_flight_lines_follow_shadow_activations() {
+        let prog = assemble(
+            "        .text
+main:   li   $s0, 2000
+        li   $s1, 0
+        li   $s2, 12345
+loop:   li   $t9, 1103515245
+        mul  $s2, $s2, $t9
+        addi $s2, $s2, 12345
+        srl  $t0, $s2, 13
+        andi $t0, $t0, 1
+        beqz $t0, skip
+        addi $s1, $s1, 3
+skip:   addi $s0, $s0, -1
+        bgtz $s0, loop
+        move $a0, $s1
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+",
+        )
+        .unwrap();
+        let mut sim = Simulator::new(&prog, SimConfig::default());
+        step_checking_lines(&mut sim, 100_000);
+        assert!(sim.halted.is_some());
+        let s = sim.stats();
+        assert!(
+            s.inactive_rescues > 10 && s.discarded_inactive_uops > 0,
+            "{s:?}"
+        );
+    }
+
+    /// Read-path faults corrupt fetched copies of lines; self-repair
+    /// invalidates the line each divergence names and squashes the whole
+    /// machine.
+    #[test]
+    fn in_flight_lines_follow_self_repair_squashes() {
+        let mut cfg = SimConfig::with_opts(OptConfig::all());
+        cfg.fill.strict_verify = false;
+        cfg.self_repair.enabled = true;
+        cfg.fault_plan = Some(FaultPlan::generate(
+            41,
+            16,
+            64,
+            &[FaultKind::BitFlipLookup, FaultKind::CorruptImm],
+        ));
+        let prog = generate(&PatternMix::default(), 24, 120, 13).unwrap();
+        let mut sim = Simulator::new(&prog, cfg);
+        step_checking_lines(&mut sim, 1_000_000);
+        assert!(sim.halted.is_some());
+        assert!(
+            sim.repairs.iter().any(|r| r.invalidated),
+            "{:?}",
+            sim.repairs
+        );
+    }
+}

@@ -251,6 +251,7 @@ impl Simulator {
         }
         let mut squashed = (self.window.len() - pos - 1) as u64;
         self.window.truncate(pos + 1);
+        self.lines.truncate_after(branch_id);
 
         // Shadows anchored on squashed branches die with them, and a
         // partially issued bundle (with its shadow under construction) is
@@ -313,6 +314,7 @@ impl Simulator {
         }
         self.stats.squashed_uops += self.uops.len() as u64;
         self.uops.clear();
+        self.lines.clear();
         self.window.clear();
         self.shadows.clear();
         self.checkpoints.clear();

@@ -41,7 +41,7 @@ impl Simulator {
             pc: u.pc,
             instr: u.instr,
             from_tc: u.from_tc,
-            seg_id: u.seg.as_ref().map(|s| s.provenance.seg_id),
+            seg_id: u.tc_seg(),
         };
         if self.retire_ring.len() >= RING_DEPTH {
             self.retire_ring.pop_front();
@@ -80,9 +80,8 @@ impl Simulator {
         expected: String,
         actual: String,
     ) -> DivergenceReport {
-        let u = &self.uops[id];
-        let provenance = u.seg.as_deref().map(SegSource::of);
-        self.site(u.pc, kind, expected, actual, provenance)
+        let provenance = self.fetched_line(id).map(SegSource::of);
+        self.site(self.uops[id].pc, kind, expected, actual, provenance)
     }
 
     /// The one abort-or-contain decision for every divergence. Without
@@ -100,16 +99,16 @@ impl Simulator {
             Contain::Restore { id, oracle } => {
                 // Attribute and invalidate before the squash forgets the
                 // uop.
-                let seg = self.uops.get(id).and_then(|u| u.seg.clone());
-                let invalidated = seg.as_deref().is_some_and(|s| {
-                    let seg = s.provenance.seg_id;
-                    let removed = self.tcache.invalidate(s.start_pc, seg).is_some();
+                let line = self.fetched_line(id);
+                let line = line.map(|l| (l.start_pc, l.provenance.seg_id, l.end.name()));
+                let invalidated = line.is_some_and(|(start_pc, seg, _)| {
+                    let removed = self.tcache.invalidate(start_pc, seg).is_some();
                     if removed {
                         self.observers.emit(self.cycle, Event::Invalidate { seg });
                     }
                     removed
                 });
-                let class = seg.as_deref().map_or("unknown", |s| s.end.name());
+                let class = line.map_or("unknown", |(_, _, class)| class);
                 let escalations = self.fill.record_offense(passes, class);
                 self.restore(site.pc, &oracle);
                 (invalidated, escalations)
@@ -363,7 +362,8 @@ impl Simulator {
 
     /// The end of every retirement: releases the uop's source holds and
     /// the mapping it displaced, drops the checkpoint and shadow it owns,
-    /// and takes it off the store queue, the window and the uop table.
+    /// takes it off the store queue, the window and the uop table, and
+    /// drops the trace lines no uop in flight came from.
     fn leave_window(&mut self, id: u64) {
         let u = &self.uops[id];
         let (pc, seg, srcs, prev_phys) = (u.pc, u.tc_seg(), u.srcs, u.prev_phys);
@@ -391,6 +391,7 @@ impl Simulator {
         );
         self.window.pop_front();
         self.uops.remove(id);
+        self.lines.prune(self.uops.oldest());
         self.last_retire_cycle = self.cycle;
     }
 

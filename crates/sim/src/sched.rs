@@ -463,7 +463,7 @@ impl Simulator {
 
     /// When `u`'s operands all are (or will be) usable at its cluster.
     fn ready_at(&self, u: &Uop) -> u64 {
-        let cluster = self.cluster_of(u.fu);
+        let cluster = u.cluster;
         u.srcs
             .iter()
             .flatten()

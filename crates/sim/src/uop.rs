@@ -112,12 +112,20 @@ pub struct Uop {
     pub bypass_delayed: bool,
     /// Ran through a functional unit (Figure 7 denominator).
     pub fu_executed: bool,
-    /// The trace line this uop was fetched from (`None` on the
-    /// instruction-cache path): the segment and the fill that built it.
-    /// Carried to retirement so a lockstep divergence can name the
-    /// originating segment and the passes that touched it.
-    pub seg: Option<Arc<Line>>,
+    /// The cluster of `fu`, worked out once at issue.
+    pub cluster: u8,
+    /// The seg id of the trace line this uop was fetched from (0 on the
+    /// instruction-cache path), for the segment ledger and the
+    /// divergence ring. The line itself is its bundle's entry in the
+    /// simulator's in-flight lines, where a divergence report finds the
+    /// segment and the passes that touched it.
+    pub seg: u64,
 }
+
+// A uop is dropped in place by squash, discard and retire, so dropping
+// one must cost nothing: no field may own a heap object or a reference
+// count.
+const _: () = assert!(!std::mem::needs_drop::<Uop>());
 
 impl Uop {
     /// Whether the uop's result is produced and visible.
@@ -139,10 +147,7 @@ impl Uop {
     /// The id of the trace-cache segment that supplied this uop (`None`
     /// on the instruction-cache path).
     pub fn tc_seg(&self) -> Option<u64> {
-        self.seg
-            .as_ref()
-            .filter(|_| self.from_tc)
-            .map(|s| s.provenance.seg_id)
+        self.from_tc.then_some(self.seg)
     }
 }
 
@@ -250,6 +255,11 @@ impl UopTable {
         }
     }
 
+    /// The oldest uop in flight.
+    pub(crate) fn oldest(&self) -> Option<&Uop> {
+        self.get(self.base)
+    }
+
     /// The oldest id in the span.
     pub(crate) fn base(&self) -> UopId {
         self.base
@@ -291,6 +301,77 @@ impl Index<UopId> for UopTable {
     }
 }
 
+/// The trace lines of the bundles that have uops in flight, each under
+/// the id of the bundle's first uop, in id order.
+///
+/// A bundle's uops take consecutive ids, so the line of trace-cache uop
+/// `id` is the last entry whose first id is at most `id`. Issue pushes a
+/// bundle's line, moving it out of the bundle, when the bundle's first
+/// uop issues; retirement drops the lines whose uops have all left; a
+/// squash drops the lines of the bundles issued after its anchor; and a
+/// self-repair squash drops them all.
+#[derive(Debug, Default)]
+pub(crate) struct InFlightLines(VecDeque<(UopId, Arc<Line>)>);
+
+impl InFlightLines {
+    /// Adds the line of a bundle whose first uop is `first`.
+    pub(crate) fn push(&mut self, first: UopId, line: Arc<Line>) {
+        debug_assert!(self.0.back().is_none_or(|&(f, _)| f < first));
+        self.0.push_back((first, line));
+    }
+
+    /// The line trace-cache uop `id` was fetched from.
+    pub(crate) fn of(&self, id: UopId) -> Option<&Line> {
+        let i = self.0.partition_point(|&(first, _)| first <= id);
+        Some(&self.0.get(i.checked_sub(1)?)?.1)
+    }
+
+    /// The most recently pushed line.
+    pub(crate) fn last(&self) -> Option<&Line> {
+        self.0.back().map(|(_, line)| &**line)
+    }
+
+    /// Drops the lines of bundles whose first uop is younger than
+    /// `anchor`.
+    pub(crate) fn truncate_after(&mut self, anchor: UopId) {
+        while self.0.back().is_some_and(|&(first, _)| first > anchor) {
+            self.0.pop_back();
+        }
+    }
+
+    /// Drops the lines none of whose uops are in flight, given the
+    /// oldest uop in flight. Uops leave a bundle from the front (retire)
+    /// or as a suffix (squash, shadow discard), so a bundle has uops in
+    /// flight exactly when its first uop is younger than the oldest, or
+    /// the oldest is one of its own: a trace-cache uop below the next
+    /// bundle's first id.
+    pub(crate) fn prune(&mut self, oldest: Option<&Uop>) {
+        let Some(oldest) = oldest else {
+            self.0.clear();
+            return;
+        };
+        while let Some(&(first, _)) = self.0.front() {
+            let next = self.0.get(1).map(|&(f, _)| f);
+            let own = oldest.from_tc && next.is_none_or(|n| oldest.id < n);
+            if first > oldest.id || own {
+                break;
+            }
+            self.0.pop_front();
+        }
+    }
+
+    /// Drops every line.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Every line with its bundle's first uop id, oldest first.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (UopId, &Line)> {
+        self.0.iter().map(|(first, line)| (*first, &**line))
+    }
+}
+
 /// Per-branch fetch-time snapshots used to build checkpoints.
 #[derive(Debug)]
 pub(crate) struct BranchFetchMeta {
@@ -313,10 +394,11 @@ pub(crate) struct BranchFetchMeta {
 /// Where a fetched instruction comes from.
 #[derive(Debug)]
 pub(crate) enum SlotSource {
-    /// Slot `.1` of a trace line. Issue reads the instruction's executed
-    /// form (opcode, immediate, sources, move and scaled-add marks) from
-    /// the line itself, and the uop takes the line's handle.
-    Line(Arc<Line>, u8),
+    /// This slot of its bundle's trace line. Issue reads the
+    /// instruction's executed form (opcode, immediate, sources, move and
+    /// scaled-add marks) from the line itself; the uop keeps only the
+    /// line's seg id.
+    Line(u8),
     /// An instruction the instruction-cache path decoded at a PC.
     Raw(u32, Instr),
 }
@@ -341,11 +423,15 @@ pub(crate) struct FetchSlot {
 }
 
 impl SlotSource {
-    /// The instruction as issue sees it: its trace-line slot, or, for a
-    /// raw instruction, a one-slot line whose sources are all live-ins.
-    pub(crate) fn line(&self) -> Cow<'_, SegSlot> {
+    /// The instruction as issue sees it: its slot of `line`, its
+    /// bundle's trace line, or, for a raw instruction, a one-slot line
+    /// whose sources are all live-ins.
+    pub(crate) fn line<'a>(&'a self, line: Option<&'a Line>) -> Cow<'a, SegSlot> {
         match self {
-            SlotSource::Line(seg, i) => Cow::Borrowed(&seg.slots[*i as usize]),
+            SlotSource::Line(i) => {
+                let line = line.expect("a trace-cache slot's bundle has a line");
+                Cow::Borrowed(&line.slots[*i as usize])
+            }
             &SlotSource::Raw(pc, instr) => {
                 let mut srcs = [None, None];
                 for (k, r) in instr.srcs().enumerate() {
@@ -384,6 +470,10 @@ pub enum ShadowResume {
 /// A bundle of fetched instructions awaiting issue.
 #[derive(Debug)]
 pub(crate) struct FetchBundle {
+    /// The trace line the slots come from (`None` on the
+    /// instruction-cache path), held once for the whole bundle until its
+    /// first uop issues and the line moves into the in-flight lines.
+    pub line: Option<Arc<Line>>,
     /// Slots not yet issued, in original program order. Issue pops them
     /// from the front; the emptied buffer goes back to fetch.
     pub slots: VecDeque<FetchSlot>,
@@ -427,7 +517,8 @@ pub(crate) mod tests {
             mem_deferred: false,
             bypass_delayed: false,
             fu_executed: false,
-            seg: None,
+            cluster: 0,
+            seg: 0,
         }
     }
 
@@ -584,6 +675,78 @@ pub(crate) mod tests {
         });
     }
 
+    /// A line of one slot with this seg id.
+    fn line(seg_id: u64) -> Arc<Line> {
+        let slot = SlotSource::Raw(0x40_0000, NOP).line(None).into_owned();
+        let seg = tracefill_core::segment::Segment {
+            start_pc: slot.pc,
+            slots: vec![slot],
+            issue_pos: vec![0],
+            branches: Vec::new(),
+            end: tracefill_core::segment::SegEnd::Full,
+            opt_counts: Default::default(),
+            fault: None,
+        };
+        Arc::new(Line {
+            seg: Arc::new(seg),
+            provenance: tracefill_core::segment::Provenance {
+                seg_id,
+                build_cycle: 0,
+            },
+        })
+    }
+
+    fn seg_ids(lines: &InFlightLines) -> Vec<(UopId, u64)> {
+        lines
+            .iter()
+            .map(|(f, l)| (f, l.provenance.seg_id))
+            .collect()
+    }
+
+    #[test]
+    fn in_flight_lines_map_ids_to_their_bundle() {
+        let mut lines = InFlightLines::default();
+        lines.push(10, line(1));
+        lines.push(14, line(2));
+        lines.push(20, line(1));
+        let seg = |id| lines.of(id).map(|l| l.provenance.seg_id);
+        assert_eq!(
+            [seg(9), seg(10), seg(13), seg(14), seg(19), seg(99)],
+            [None, Some(1), Some(1), Some(2), Some(2), Some(1)]
+        );
+        assert_eq!(lines.last().map(|l| l.provenance.seg_id), Some(1));
+        lines.truncate_after(14);
+        assert_eq!(seg_ids(&lines), [(10, 1), (14, 2)]);
+        lines.clear();
+        assert!(lines.last().is_none());
+    }
+
+    #[test]
+    fn pruning_keeps_exactly_the_bundles_with_uops_in_flight() {
+        let tc = |id: UopId| Uop {
+            from_tc: true,
+            ..uop(id)
+        };
+        let mut lines = InFlightLines::default();
+        lines.push(10, line(1));
+        lines.push(14, line(2));
+        // The oldest uop in flight is the first line's own: both stay.
+        lines.prune(Some(&tc(12)));
+        assert_eq!(seg_ids(&lines), [(10, 1), (14, 2)]);
+        // An instruction-cache uop between the lines: the first is done.
+        lines.prune(Some(&uop(13)));
+        assert_eq!(seg_ids(&lines), [(14, 2)]);
+        // Older than every line: nothing of theirs has left.
+        lines.prune(Some(&uop(3)));
+        assert_eq!(seg_ids(&lines), [(14, 2)]);
+        // Past the last line on the instruction-cache path, then empty.
+        lines.prune(Some(&uop(30)));
+        assert!(lines.iter().next().is_none());
+        lines.push(40, line(3));
+        lines.prune(None);
+        assert!(lines.iter().next().is_none());
+    }
+
     /// Every in-flight instruction is built in, moved through or checked
     /// against these, so a field that bloats one shows in host speed.
     /// Changing a size is fine when it is meant: update it here.
@@ -592,7 +755,7 @@ pub(crate) mod tests {
         use std::mem::size_of;
         let sizes = [
             ("Uop", size_of::<Uop>(), 128),
-            ("FetchSlot", size_of::<FetchSlot>(), 56),
+            ("FetchSlot", size_of::<FetchSlot>(), 48),
             ("Checkpoint", size_of::<crate::machine::Checkpoint>(), 88),
             ("Lockstep", size_of::<crate::retire::Lockstep>(), 24),
         ];

@@ -2,13 +2,13 @@
 //! emitted once at the site where it happens, and the observers that
 //! subscribe to it.
 //!
-//! | observer | consumes | cost when off |
-//! |---|---|---|
-//! | [`TraceLog`] | every [`Event::Pipeline`] | one branch (`trace_depth` 0) |
-//! | [`Ledger`] | segment ids on fetch and retire, insert, squash, invalidate | one branch (`ledger` false) |
-//! | `sim.window_occupancy` | [`Event::Cycle`] | always on |
-//! | `sim.fetch_bundle` | fetch | always on |
-//! | `fault.detected.fill_verify` | [`Event::FaultDetected`] | always on |
+//! | observer | consumes | cost when off | cost per event when on |
+//! |---|---|---|---|
+//! | [`TraceLog`] | every [`Event::Pipeline`] | one branch (`trace_depth` 0) | one ring-buffer push |
+//! | [`Ledger`] | segment ids on fetch and retire, insert, squash, invalidate | one branch (`ledger` false) | one `Vec` index by seg id (an ordered-map lookup for an id far past the rest) |
+//! | `sim.window_occupancy` | [`Event::Cycle`] | always on | one bucket scan |
+//! | `sim.fetch_bundle` | fetch | always on | one bucket scan |
+//! | `fault.detected.fill_verify` | [`Event::FaultDetected`] | always on | one add |
 //!
 //! Observers only record: nothing here feeds back into the machine, so
 //! a run retires the same instructions in the same cycles whichever

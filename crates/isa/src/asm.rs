@@ -488,18 +488,24 @@ struct Chunk {
     end: u32,
 }
 
-/// Assembles a source string into a linked [`Program`].
-///
-/// The entry point is the `main` label if present, otherwise the first text
-/// address.
-///
-/// # Errors
-///
-/// Returns an [`AsmError`] carrying the 1-based line number of the first
-/// problem (syntax error, unknown mnemonic, undefined symbol, out-of-range
-/// immediate or branch).
-pub fn assemble(src: &str) -> Result<Program, AsmError> {
-    // ---- Pass 1: parse, lay out addresses, collect symbols. ----
+/// The location counter after `size` bytes from `pc`, or an error when
+/// it would pass `0xffff_ffff`. A counter is the address of the next
+/// byte, so a section's last byte lies at most at `0xffff_fffe`.
+fn advance(cur: &Cursor, pc: u32, size: usize) -> Result<u32, AsmError> {
+    u32::try_from(size)
+        .ok()
+        .and_then(|size| pc.checked_add(size))
+        .ok_or_else(|| past_end(cur))
+}
+
+fn past_end(cur: &Cursor) -> AsmError {
+    cur.err("location counter runs past 0xffff_ffff")
+}
+
+/// Pass 1: parses `src`, lays out every item's address and collects the
+/// symbols. Every location counter stays within the 32-bit address space,
+/// so no chunk wraps and pass 2 allocates at most what the layout spans.
+fn layout(src: &str) -> Result<(Vec<Chunk>, BTreeMap<String, u32>), AsmError> {
     let mut chunks: Vec<Chunk> = Vec::new();
     let mut symbols: BTreeMap<String, u32> = BTreeMap::new();
     let mut kind = SectionKind::Text;
@@ -563,7 +569,9 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
                         SectionKind::Data
                     };
                     if !args.is_empty() {
-                        let addr = parse_number(&cur, args)? as u32;
+                        let addr = u32::try_from(parse_number(&cur, args)?).map_err(|_| {
+                            cur.err(format!("origin `{args}` is not a 32-bit address"))
+                        })?;
                         match kind {
                             SectionKind::Text => text_pc = addr,
                             SectionKind::Data => data_pc = addr,
@@ -584,33 +592,40 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
                         SectionKind::Text => &mut text_pc,
                         SectionKind::Data => &mut data_pc,
                     };
+                    let end = advance(&cur, *pc, item.size(line)?)?;
                     ensure_chunk(&mut chunks, kind, *pc);
-                    let sz = item.size(line)? as u32;
                     let c = chunks.last_mut().unwrap();
                     c.items.push((*pc, item));
-                    *pc += sz;
-                    c.end = *pc;
+                    *pc = end;
+                    c.end = end;
                 }
                 "space" => {
-                    let n = parse_number(&cur, args)? as usize;
+                    let n = usize::try_from(parse_number(&cur, args)?)
+                        .map_err(|_| cur.err(format!("negative count `{args}`")))?;
                     let pc = match kind {
                         SectionKind::Text => &mut text_pc,
                         SectionKind::Data => &mut data_pc,
                     };
+                    let end = advance(&cur, *pc, n)?;
                     ensure_chunk(&mut chunks, kind, *pc);
                     let c = chunks.last_mut().unwrap();
                     c.items.push((*pc, Item::Space(n)));
-                    *pc += n as u32;
-                    c.end = *pc;
+                    *pc = end;
+                    c.end = end;
                 }
                 "align" => {
-                    let n = parse_number(&cur, args)? as u32;
+                    let n = parse_number(&cur, args)?;
+                    if !(0..=31).contains(&n) {
+                        return Err(cur.err(format!("alignment `{args}` is outside 0..=31")));
+                    }
                     let align = 1u32 << n;
                     let pc = match kind {
                         SectionKind::Text => &mut text_pc,
                         SectionKind::Data => &mut data_pc,
                     };
-                    let new_pc = pc.div_ceil(align) * align;
+                    let new_pc = pc
+                        .checked_next_multiple_of(align)
+                        .ok_or_else(|| past_end(&cur))?;
                     let pad = new_pc - *pc;
                     if pad > 0 {
                         ensure_chunk(&mut chunks, kind, *pc);
@@ -646,13 +661,28 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
             mnemonic: mnemonic.to_ascii_lowercase(),
             operands,
         };
-        let sz = item.size(line)? as u32;
+        let end = advance(&cur, text_pc, item.size(line)?)?;
         ensure_chunk(&mut chunks, SectionKind::Text, text_pc);
         let c = chunks.last_mut().unwrap();
         c.items.push((text_pc, item));
-        text_pc += sz;
-        c.end = text_pc;
+        text_pc = end;
+        c.end = end;
     }
+    Ok((chunks, symbols))
+}
+
+/// Assembles a source string into a linked [`Program`].
+///
+/// The entry point is the `main` label if present, otherwise the first text
+/// address.
+///
+/// # Errors
+///
+/// Returns an [`AsmError`] carrying the 1-based line number of the first
+/// problem (syntax error, unknown mnemonic, undefined symbol, out-of-range
+/// immediate or branch).
+pub fn assemble(src: &str) -> Result<Program, AsmError> {
+    let (chunks, symbols) = layout(src)?;
 
     // ---- Pass 2: resolve and emit. ----
     let mut sections = Vec::new();
@@ -825,5 +855,47 @@ mod tests {
         assert_eq!(p.symbol("b"), Some(DATA_BASE + 4));
         let mem = p.load();
         assert_eq!(mem.read_u32(DATA_BASE + 4), 2);
+    }
+
+    #[test]
+    fn out_of_range_layout_is_an_error_naming_the_line() {
+        for (src, line, msg) in [
+            (".data\n.align 40\n", 2, "alignment `40` is outside 0..=31"),
+            (".data\n.align -1\n", 2, "outside 0..=31"),
+            (".data 0x100000000\n.word 1\n", 1, "not a 32-bit address"),
+            (".data -4\n.word 1\n", 1, "not a 32-bit address"),
+            (".data 0xfffffff0\n.space 32\n", 2, "runs past 0xffff_ffff"),
+            (".data 0xfffffffc\n.word 1\n", 2, "runs past 0xffff_ffff"),
+            (".data 0xfffffffe\n.half 1, 2\n", 2, "runs past 0xffff_ffff"),
+            (".data 0xfffffff1\n\n.align 4\n", 3, "runs past 0xffff_ffff"),
+            (
+                ".text 0xfffffff8\nnop\nli $t0, 0x12345678\n",
+                3,
+                "runs past",
+            ),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.line, line, "{src:?}: {e}");
+            assert!(e.msg.contains(msg), "{src:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn the_top_of_the_address_space_stays_usable() {
+        let p = assemble(".data 0xfffffff1\nx: .align 3\n.word 1\n.half 2\n.byte 3\n").unwrap();
+        assert_eq!(p.symbol("x"), Some(0xffff_fff1));
+        let mem = p.load();
+        assert_eq!(mem.read_u32(0xffff_fff8), 1);
+        assert_eq!(mem.read_u16(0xffff_fffc), 2);
+        assert_eq!(mem.read_u8(0xffff_fffe), 3);
+    }
+
+    #[test]
+    fn a_negative_count_fails_the_layout() {
+        // Through pass 1 alone, so that a regression here cannot reach
+        // pass 2's allocation of the whole span.
+        let e = layout(".data\n.byte 1\n.space -1\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("negative count `-1`"), "{e}");
     }
 }

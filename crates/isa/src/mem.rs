@@ -6,6 +6,14 @@
 //! assembled byte-wise); the *simulator* charges no extra latency for them,
 //! and the assembler never produces them for word data.
 //!
+//! Pages are kept in a map keyed by page number whose hasher is a single
+//! multiply: the pipeline's memory and the oracle's probe it on every load
+//! and store, and page numbers are the simulated program's own addresses,
+//! not keys that need SipHash's defence against chosen collisions.
+//! [`Memory::write_bytes`], the one path of a program load, copies each
+//! page's share of a span with one page lookup and one slice copy, so
+//! loading costs the pages a program touches, not its byte count.
+//!
 //! A memory loaded from a [`Program`](crate::Program) also keeps the
 //! program's text decoded: one entry per instruction word from the
 //! lowest text address to the highest, indexed by `(pc - base) / 4`.
@@ -18,10 +26,33 @@
 use crate::encode::decode;
 use crate::instr::Instr;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
+
+type Page = [u8; PAGE_SIZE];
+
+/// Hashes a page number with one multiply by 2^64 / φ: consecutive pages
+/// land in distinct buckets and the top bits, which the map's probe
+/// compares, mix every bit of the page number.
+#[derive(Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page keys are u32 page numbers")
+    }
+
+    fn write_u32(&mut self, page: u32) {
+        self.0 = u64::from(page).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// A sparse, paged, little-endian memory.
 ///
@@ -38,7 +69,7 @@ const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u32, Box<Page>, BuildHasherDefault<PageHasher>>,
     /// The decoded text image (see the module docs).
     text: TextImage,
 }
@@ -82,6 +113,18 @@ impl TextImage {
             *e = None;
         }
     }
+
+    /// Drops every entry that the `len > 0` bytes from `addr` overlap,
+    /// wrapping past `0xffff_ffff` as the bytes do.
+    fn forget_span(&mut self, addr: u32, len: usize) {
+        if self.words.is_empty() {
+            return;
+        }
+        let first = addr & !3;
+        for k in 0..((addr & 3) as usize + len).div_ceil(4) {
+            self.forget(first.wrapping_add(4 * k as u32));
+        }
+    }
 }
 
 impl Memory {
@@ -117,11 +160,15 @@ impl Memory {
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u32, val: u8) {
         self.text.forget(addr);
-        let page = self
-            .pages
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = val;
+    }
+
+    /// The page holding `addr`, allocated zeroed on first touch.
+    #[inline]
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        self.pages
             .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = val;
+            .or_insert_with(|| Box::new([0; PAGE_SIZE]))
     }
 
     /// Reads a little-endian 16-bit value.
@@ -161,11 +208,7 @@ impl Memory {
         if off + 4 <= PAGE_SIZE {
             self.text.forget(addr);
             self.text.forget(addr.wrapping_add(3));
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0; PAGE_SIZE]));
-            page[off..off + 4].copy_from_slice(&val.to_le_bytes());
+            self.page_mut(addr)[off..off + 4].copy_from_slice(&val.to_le_bytes());
         } else {
             for (i, b) in val.to_le_bytes().into_iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u32), b);
@@ -223,10 +266,19 @@ impl Memory {
         }
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
+    /// Copies a byte slice into memory starting at `addr`, one page's
+    /// span at a time, wrapping past `0xffff_ffff` to address 0. The result
+    /// is that of writing the bytes one by one in order.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), b);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (span, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            self.text.forget_span(addr, span.len());
+            self.page_mut(addr)[off..off + span.len()].copy_from_slice(span);
+            addr = addr.wrapping_add(span.len() as u32);
+            rest = tail;
         }
     }
 
@@ -337,5 +389,95 @@ main:   li   $a0, 7
         assert_eq!(m.read_sized(8, 1), 0x78);
         m.write_sized(16, 4, 7);
         assert_eq!(m.read_u32(16), 7);
+    }
+
+    /// Page-wise `write_bytes` against the byte-by-byte `write_u8` it
+    /// replaces, over memories that keep a partly decoded text image.
+    #[test]
+    fn write_bytes_matches_a_byte_by_byte_reference() {
+        use crate::asm::assemble;
+        use tracefill_util::prop::{check, coin};
+        use tracefill_util::SplitMix64;
+
+        let code: Vec<u32> = assemble(
+            ".text\nmain: addi $t0, $t1, 5\nlw $a0, 8($sp)\nbeq $t0, $zero, main\nsll $t2, $t2, 3\n",
+        )
+        .unwrap()
+        .text_words()
+        .map(|(_, w)| w)
+        .collect();
+        // Spans start near the text, on a page edge or at the top of
+        // the address space, so that they overlap decoded words, cross
+        // pages and wrap past 0xffff_ffff.
+        let near = |rng: &mut SplitMix64, base: u32| -> u32 {
+            let at = match rng.range_u32(0, 4) {
+                0 => base,
+                1 => base & !PAGE_MASK,
+                2 => 0,
+                _ => rng.next_u32(),
+            };
+            at.wrapping_add(rng.range_u32(0, 64)).wrapping_sub(32)
+        };
+        check("write_bytes_matches_a_byte_by_byte_reference", 256, |rng| {
+            let base = match rng.range_u32(0, 3) {
+                0 => crate::program::TEXT_BASE,
+                1 => 0u32.wrapping_sub(4 * rng.range_u32(1, 40)),
+                _ => (rng.next_u32() | PAGE_MASK) & !3,
+            };
+            let words: Vec<u32> = (0..rng.range_u32(1, 40))
+                .map(|i| match coin(rng) {
+                    true => code[i as usize % code.len()],
+                    false => rng.next_u32(),
+                })
+                .collect();
+            let text: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let end = base.wrapping_add(text.len() as u32);
+            let (mut fast, mut slow) = (Memory::new(), Memory::new());
+            fast.write_bytes(base, &text);
+            for (i, &b) in text.iter().enumerate() {
+                slow.write_u8(base.wrapping_add(i as u32), b);
+            }
+            fast.map_text(base, end);
+            slow.map_text(base, end);
+            for i in 0..words.len() as u32 {
+                if coin(rng) {
+                    let pc = base.wrapping_add(4 * i);
+                    assert_eq!(fast.fetch(pc), slow.fetch(pc));
+                }
+            }
+
+            let mut touched = vec![(base, text.len())];
+            for _ in 0..rng.range_u32(1, 6) {
+                let addr = near(rng, base);
+                let len = match rng.range_u32(0, 4) {
+                    0 => rng.range_u32(0, 9),
+                    1 => rng.range_u32(0, 3 * PAGE_SIZE as u32),
+                    _ => rng.range_u32(0, 200),
+                } as usize;
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                fast.write_bytes(addr, &bytes);
+                for (i, &b) in bytes.iter().enumerate() {
+                    slow.write_u8(addr.wrapping_add(i as u32), b);
+                }
+                touched.push((addr, len));
+            }
+
+            assert_eq!(fast.diff(&slow), None);
+            assert_eq!(slow.diff(&fast), None);
+            assert_eq!(fast.resident_pages(), slow.resident_pages());
+            for &(addr, len) in &touched {
+                for i in 0..len as u32 + 8 {
+                    let a = addr.wrapping_add(i).wrapping_sub(4);
+                    assert_eq!(fast.read_u8(a), slow.read_u8(a), "byte {a:#x}");
+                }
+            }
+            for i in 0..words.len() as u32 {
+                let pc = base.wrapping_add(4 * i);
+                let word = fast.read_u32(pc);
+                let want = decode(word).map_err(|_| word);
+                assert_eq!(fast.fetch(pc), want, "word {pc:#x}");
+                assert_eq!(slow.fetch(pc), want, "word {pc:#x}");
+            }
+        });
     }
 }

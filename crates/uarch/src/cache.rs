@@ -3,6 +3,15 @@
 //! The cache tracks tags and true-LRU replacement only — data always lives
 //! in the simulator's backing memory (`tracefill_isa::mem::Memory`); the
 //! cache model answers "would this access have hit?".
+//!
+//! A way is a tag and a last-use stamp, kept in two parallel arrays. The
+//! clock ticks before every access, so a resident way's stamp is at least
+//! 1 and a stamp of 0 marks an empty way: all-zero arrays are an empty
+//! cache. [`SetAssocCache::new`] therefore takes zeroed allocations, which
+//! the allocator may serve from fresh zero pages without writing them
+//! (the paper's 1 MiB L2 has 16,384 ways), and [`SetAssocCache::flush`]
+//! swaps in a zeroed stamp array. A miss replaces the first empty way of
+//! its set, else the least recently used one.
 
 /// Geometry of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,14 +46,6 @@ impl CacheConfig {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         sets
     }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    tag: u32,
-    /// Higher = more recently used.
-    lru: u64,
 }
 
 /// Running hit/miss counters for a cache.
@@ -87,7 +88,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// The tag of each way, meaningful only where its stamp is nonzero.
+    tags: Vec<u32>,
+    /// The clock at each way's last use (higher = more recently used);
+    /// 0 for an empty way.
+    stamps: Vec<u64>,
     sets: u32,
     set_shift: u32,
     clock: u64,
@@ -102,9 +107,11 @@ impl SetAssocCache {
     /// Panics on an inconsistent geometry (see [`CacheConfig::sets`]).
     pub fn new(config: CacheConfig) -> SetAssocCache {
         let sets = config.sets();
+        let ways = (sets * config.ways) as usize;
         SetAssocCache {
             config,
-            lines: vec![Line::default(); (sets * config.ways) as usize],
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
             sets,
             set_shift: config.line_bytes.trailing_zeros(),
             clock: 0,
@@ -129,46 +136,59 @@ impl SetAssocCache {
         (set as usize, tag)
     }
 
+    /// The index range of the ways of `set`.
+    fn set_ways(&self, set: usize) -> std::ops::Range<usize> {
+        let w = self.config.ways as usize;
+        set * w..(set + 1) * w
+    }
+
+    /// The way of `set` holding `tag`, if one does.
+    fn find(&self, set: usize, tag: u32) -> Option<usize> {
+        let ways = self.set_ways(set);
+        let start = ways.start;
+        self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .position(|(&t, &stamp)| stamp != 0 && t == tag)
+            .map(|i| start + i)
+    }
+
     /// Looks up `addr` without modifying cache state.
     pub fn probe(&self, addr: u32) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
-    }
-
-    fn set_lines(&self, set: usize) -> &[Line] {
-        let w = self.config.ways as usize;
-        &self.lines[set * w..(set + 1) * w]
+        self.find(set, tag).is_some()
     }
 
     /// Accesses `addr`: updates LRU, allocates on a miss, and returns
     /// whether it hit.
     pub fn access(&mut self, addr: u32) -> bool {
         self.clock += 1;
-        let clock = self.clock;
         let (set, tag) = self.set_and_tag(addr);
-        let w = self.config.ways as usize;
-        let lines = &mut self.lines[set * w..(set + 1) * w];
-
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = clock;
+        if let Some(way) = self.find(set, tag) {
+            self.stamps[way] = self.clock;
             self.stats.hits += 1;
             return true;
         }
-        // Miss: replace the LRU (or first invalid) way.
-        let victim = lines
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("cache set cannot be empty");
-        victim.valid = true;
-        victim.tag = tag;
-        victim.lru = clock;
+        // Miss: replace the first empty way, else the least recently used
+        // one. Empty ways stamp 0 and stamps of resident ways are distinct,
+        // so the first minimum is exactly that way.
+        let ways = self.set_ways(set);
+        let victim = ways.start
+            + self.stamps[ways]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .expect("cache set cannot be empty")
+                .0;
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.clock;
         self.stats.misses += 1;
         false
     }
 
     /// Invalidates every line (e.g. across a serializing boundary in tests).
     pub fn flush(&mut self) {
-        self.lines.fill(Line::default());
+        self.stamps = vec![0; self.stamps.len()];
     }
 }
 

@@ -66,6 +66,114 @@ fn resident_working_set_always_hits() {
     });
 }
 
+/// A set-associative cache with an explicit valid bit per way and the
+/// `min_by_key` victim choice: the model `SetAssocCache` must match.
+struct ReferenceCache {
+    sets: u32,
+    ways: usize,
+    line_shift: u32,
+    /// `(valid, tag, last use)` per way, set-major.
+    lines: Vec<(bool, u32, u64)>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl ReferenceCache {
+    fn new(cfg: CacheConfig) -> ReferenceCache {
+        let sets = cfg.sets();
+        ReferenceCache {
+            sets,
+            ways: cfg.ways as usize,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            lines: vec![(false, 0, 0); (sets * cfg.ways) as usize],
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&mut self, addr: u32) -> (&mut [(bool, u32, u64)], u32) {
+        let line = addr >> self.line_shift;
+        let set = (line & (self.sets - 1)) as usize;
+        let tag = line >> self.sets.trailing_zeros();
+        (&mut self.lines[set * self.ways..(set + 1) * self.ways], tag)
+    }
+
+    fn probe(&mut self, addr: u32) -> bool {
+        let (lines, tag) = self.set(addr);
+        lines.iter().any(|&(valid, t, _)| valid && t == tag)
+    }
+
+    fn access(&mut self, addr: u32) -> bool {
+        self.clock += 1;
+        let clock = self.clock;
+        let (lines, tag) = self.set(addr);
+        if let Some(line) = lines.iter_mut().find(|l| l.0 && l.1 == tag) {
+            line.2 = clock;
+            self.hits += 1;
+            return true;
+        }
+        let victim = lines
+            .iter_mut()
+            .min_by_key(|l| if l.0 { l.2 } else { 0 })
+            .expect("sets are not empty");
+        *victim = (true, tag, clock);
+        self.misses += 1;
+        false
+    }
+
+    fn flush(&mut self) {
+        self.lines.fill((false, 0, 0));
+    }
+}
+
+/// Over random geometries and random access, probe and flush sequences,
+/// the cache hits and misses exactly where the reference does.
+#[test]
+fn cache_matches_the_valid_bit_reference() {
+    check("cache_matches_the_valid_bit_reference", CASES, |rng| {
+        let line_bytes = 1 << rng.range_u32(2, 7);
+        let ways = rng.range_u32(1, 9);
+        let sets = 1 << rng.range_u32(0, 6);
+        let cfg = CacheConfig {
+            bytes: sets * ways * line_bytes,
+            ways,
+            line_bytes,
+        };
+        let mut cache = SetAssocCache::new(cfg);
+        let mut reference = ReferenceCache::new(cfg);
+        // A footprint of a few times the capacity, so sets fill, evict
+        // and hit; sometimes anywhere in the address space, and sometimes
+        // at the bottom, where tags are 0 like those of empty ways.
+        let span = cfg.bytes * rng.range_u32(1, 5);
+        let base = match coin(rng) {
+            true => rng.next_u32(),
+            false => 0,
+        };
+        for _ in 0..rng.range_u32(1, 400) {
+            let addr = match rng.range_u32(0, 8) {
+                0 => rng.next_u32(),
+                _ => base.wrapping_add(rng.range_u32(0, span)),
+            };
+            match rng.range_u32(0, 40) {
+                0 => {
+                    cache.flush();
+                    reference.flush();
+                }
+                1..=8 => assert_eq!(cache.probe(addr), reference.probe(addr), "probe {addr:#x}"),
+                _ => assert_eq!(
+                    cache.access(addr),
+                    reference.access(addr),
+                    "access {addr:#x}"
+                ),
+            }
+        }
+        assert_eq!(cache.stats().hits, reference.hits);
+        assert_eq!(cache.stats().misses, reference.misses);
+    });
+}
+
 /// Training a PHT entry with a constant direction always converges to
 /// predicting that direction within two updates.
 #[test]

@@ -54,6 +54,19 @@ cmp "$SMOKE_DIR/smoke.jsonl" "$GOLDEN/trace.jsonl"
 cmp "$SMOKE_DIR/smoke.chrome.json" "$GOLDEN/trace-ledger.chrome.json"
 cmp "$SMOKE_DIR/smoke.stats.json" "$GOLDEN/run-observed.json"
 
+echo "==> malformed layouts are assembly errors in the release build"
+# tests/cli.rs checks these in the debug build, whose overflow checks
+# would panic where a release build wraps silently, so check both.
+for prog in tests/programs/bad-*.s; do
+    status=0
+    $TF run "$prog" > "$SMOKE_DIR/bad.out" 2> "$SMOKE_DIR/bad.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q 'line [0-9]*: ' "$SMOKE_DIR/bad.err"; then
+        echo "$prog: expected exit 1 naming a line, got exit $status:"
+        cat "$SMOKE_DIR/bad.err"
+        exit 1
+    fi
+done
+
 echo "==> lockstep verify smoke (full suite x every opt set, oracle + strict verify)"
 cargo run --release -q -p tracefill-bench --bin tracefill -- \
     verify --budget 5000 > "$SMOKE_DIR/verify.txt"

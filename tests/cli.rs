@@ -583,6 +583,36 @@ fn self_modifying_code_output_is_pinned() {
     assert_eq!(stderr(&run).as_bytes(), golden("self-modify-run.txt"));
 }
 
+/// Runs `tracefill run` on `tests/programs/<name>` and checks that it
+/// fails to assemble with exit 1, naming `line`, before simulating.
+fn assert_run_rejects(name: &str, line: usize) {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = bin()
+        .arg("run")
+        .arg(root.join("tests/programs").join(name))
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+    assert!(err.contains(&format!("line {line}: ")), "{name}: {err}");
+    assert!(out.stdout.is_empty(), "{name} printed a result");
+}
+
+#[test]
+fn an_alignment_past_31_bits_is_an_assembly_error() {
+    assert_run_rejects("bad-align.s", 8);
+}
+
+#[test]
+fn a_section_running_past_the_address_space_is_an_assembly_error() {
+    assert_run_rejects("bad-wrap.s", 7);
+}
+
+#[test]
+fn an_origin_past_32_bits_is_an_assembly_error() {
+    assert_run_rejects("bad-origin.s", 6);
+}
+
 /// Runs `tracefill campaign` on a spec file holding `text` and checks that
 /// it is a usage error naming `key`, before any run or store is made.
 fn assert_spec_rejected(test: &str, text: &str, key: &str) {

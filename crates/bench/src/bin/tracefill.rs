@@ -7,8 +7,10 @@
 //! two renderings of one harness fault sweep, whose outcome taxonomy
 //! `report --format repair` also uses.
 //!
-//! Numeric flags are parsed strictly: a malformed value is a usage error
-//! (exit 2), never a silent fall-back to the default. A zero-sized axis
+//! Each subcommand's synopsis in [`COMMANDS`] declares the flags it takes;
+//! any other flag is a usage error (exit 2) naming it. Numeric flags are
+//! parsed strictly: a malformed value is a usage error, never a silent
+//! fall-back to the default. A zero-sized axis
 //! (`--trials 0`, `--budget 0`, an empty `--opts`, `--kinds` or `--bench`)
 //! exits 1 with a message naming the flag.
 
@@ -17,8 +19,8 @@ use tracefill_core::config::{ControllerMode, OptConfig, ReplacementKind};
 use tracefill_core::QuarantineConfig;
 use tracefill_harness::{
     pool, report, run_adapt, run_campaign_with, runner, store, AdaptSpec, CampaignOptions,
-    CampaignSpec, CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunRecord,
-    RunStatus, SpecError, Tally,
+    CampaignSpec, CampaignSummary, FaultSweep, OptPoint, Outcome, ResultStore, RunStatus,
+    SpecError, Tally,
 };
 use tracefill_isa::asm::assemble;
 use tracefill_isa::interp::Interp;
@@ -44,36 +46,107 @@ macro_rules! or_exit {
     };
 }
 
+/// A subcommand: its name, its synopsis and its body. The synopsis
+/// declares the positional argument and every flag the subcommand takes,
+/// `[--name VALUE]` for a flag with a value and `[--name]` for a switch:
+/// [`check_flags`] rejects any other flag, and [`usage`] prints them all.
+type Command = (&'static str, &'static str, fn(&[String]));
+
+/// Every subcommand, in the order the usage text lists them.
+const COMMANDS: [Command; 12] = [
+    (
+        "run",
+        "<file.s> [--opts SPEC] [--replace lru|srrip|trrip] [--input a,b,c] [--max-cycles N] [--json] [--ledger] [--self-repair] [--stats-json <file>] [--trace N]",
+        cmd_run,
+    ),
+    (
+        "trace",
+        "<file.s> [--out <file>] [--format jsonl|chrome] [--depth N] [--opts SPEC] [--input a,b,c] [--max-cycles N] [--ledger]",
+        cmd_trace,
+    ),
+    ("interp", "<file.s> [--input a,b,c]", cmd_interp),
+    ("characterize", "[<file.s>]", cmd_characterize),
+    ("suite", "[--opts SPEC[:SPEC...]] [--budget N]", cmd_suite),
+    (
+        "ledger",
+        "[--bench NAME[,NAME...]|all] [--opts SPEC] [--replace lru|srrip|trrip] [--seed N] [--warmup N] [--budget N] [--latency N] [--top N] [--max-cycles N] [--json] [--out <file>]",
+        cmd_ledger,
+    ),
+    (
+        "campaign",
+        "<fig8|passes|spec.json> [--out results.jsonl] [--jobs N] [--quiet] [--quarantine-after K] [--wall-budget-ms N]",
+        cmd_campaign,
+    ),
+    ("report", "<results.jsonl> [--format FORMAT]", cmd_report),
+    (
+        "verify",
+        "[<file.s>] [--opts SPEC[:SPEC...]] [--budget N] [--max-cycles N]",
+        cmd_verify,
+    ),
+    (
+        "inject",
+        "[--bench NAME] [--opts SPEC[:SPEC...]] [--seed N] [--trials N] [--faults N] [--horizon N] [--kinds a,b,c] [--detect strict|oracle|none] [--budget N] [--json] [--self-repair]",
+        cmd_inject,
+    ),
+    (
+        "heal",
+        "[--bench NAME] [--opts SPEC[:SPEC...]] [--seed N] [--trials N] [--faults N] [--horizon N] [--kinds a,b,c] [--budget N] [--quarantine-after K] [--disable-after M] [--json]",
+        cmd_heal,
+    ),
+    (
+        "adapt",
+        "[--bench NAME[,NAME...]|all] [--opts SPEC[:SPEC...]] [--mode egreedy[:MILLI]|ucb[:MILLI]|static:SPEC] [--seed N] [--replace lru|srrip|trrip] [--latency N] [--warmup N] [--budget N] [--epoch N] [--max-cycles N] [--json] [--out <file>]",
+        cmd_adapt,
+    ),
+];
+
+/// Prints the usage text, the synopses of [`COMMANDS`], and exits 2.
 fn usage() -> ! {
+    let mut text = String::from("usage:");
+    for (name, synopsis, _) in COMMANDS {
+        text = format!("{text}\n  tracefill {name} {synopsis}");
+    }
+    let formats: Vec<&str> = report::FORMATS.iter().map(|(name, _)| *name).collect();
     die!(
         2,
-        "usage:
-  tracefill run <file.s> [--opts SPEC] [--replace lru|srrip|trrip] [--input a,b,c] [--max-cycles N] [--json] [--ledger] [--self-repair] [--stats-json <file>] [--trace N]
-  tracefill trace <file.s> [--out <file>] [--format jsonl|chrome] [--depth N] [--opts SPEC] [--input a,b,c] [--max-cycles N] [--ledger]
-  tracefill interp <file.s> [--input a,b,c]
-  tracefill characterize <file.s>
-  tracefill suite [--opts SPEC[:SPEC...]] [--budget N]
-  tracefill ledger [--bench NAME[,NAME...]|all] [--opts SPEC] [--replace lru|srrip|trrip]
-                   [--seed N] [--warmup N] [--budget N] [--latency N] [--top N]
-                   [--max-cycles N] [--json] [--out <file>]
-  tracefill campaign <fig8|table2|spec.json> [--out results.jsonl] [--jobs N] [--quiet]
-                     [--quarantine-after K] [--wall-budget-ms N]
-  tracefill report <results.jsonl> [--format fig8|table2|cpi|ledger|repair|summary|all]
-  tracefill verify [<file.s>] [--opts SPEC[:SPEC...]] [--budget N] [--max-cycles N]
-  tracefill inject [--bench NAME] [--opts SPEC[:SPEC...]] [--seed N] [--trials N]
-                   [--faults N] [--horizon N] [--kinds a,b,c] [--detect strict|oracle|none]
-                   [--budget N] [--json] [--self-repair]
-  tracefill heal [--bench NAME] [--opts SPEC[:SPEC...]] [--seed N] [--trials N]
-                 [--faults N] [--horizon N] [--kinds a,b,c] [--budget N]
-                 [--quarantine-after K] [--disable-after M] [--json]
-  tracefill adapt [--bench NAME[,NAME...]] [--opts SPEC[:SPEC...]]
-                  [--mode egreedy[:MILLI]|ucb[:MILLI]|static:SPEC] [--seed N]
-                  [--replace lru|srrip|trrip] [--latency N] [--warmup N]
-                  [--budget N] [--epoch N] [--max-cycles N] [--json] [--out <file>]
+        "{text}
 
 SPEC is `all`, `none`, or a comma list of: moves reassoc scadd placement cse
-`suite`, `verify`, `inject`, `heal` and `adapt` take several SPECs separated by `:`"
+SPEC[:SPEC...] takes several SPECs separated by `:`
+FORMAT is one of: {}, all",
+        formats.join(", ")
     )
+}
+
+/// Checks `args` against the flags the synopsis of subcommand `name`
+/// declares: an undeclared flag, or a flag that takes a value given
+/// none, is a usage error.
+fn check_flags(name: &str, synopsis: &str, args: &[String]) {
+    // Each `[--flag VALUE]` or `[--flag]` group: the flag, and whether a
+    // value follows it.
+    let declared: Vec<(&str, bool)> = synopsis
+        .split('[')
+        .filter(|group| group.starts_with("--"))
+        .map(|group| {
+            let decl = group.split(']').next().unwrap_or(group);
+            decl.split_once(' ')
+                .map_or((decl, false), |(flag, _)| (flag, true))
+        })
+        .collect();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match declared.iter().find(|(flag, _)| flag == arg) {
+            None => {
+                eprintln!("unknown flag `{arg}` for `tracefill {name}`");
+                usage()
+            }
+            Some((_, true)) if rest.next().is_none() => die!(2, "{arg} requires a value"),
+            Some(_) => {}
+        }
+    }
 }
 
 /// Whether the boolean flag `name` is present.
@@ -81,14 +154,11 @@ fn has(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The value following `name`, if the flag is present. A flag given
-/// without a value is a usage error.
+/// The value following `name`, if the flag is present ([`check_flags`]
+/// has made sure a present flag has one).
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     let i = args.iter().position(|a| a == name)?;
-    let value = args
-        .get(i + 1)
-        .unwrap_or_else(|| die!(2, "{name} requires a value"));
-    Some(value.clone())
+    args.get(i + 1).cloned()
 }
 
 /// Strict numeric flag: absent → `default`; present but malformed →
@@ -148,8 +218,9 @@ fn parse_opt_axis(args: &[String], default: &str) -> Vec<(String, OptConfig)> {
 }
 
 /// The `--bench` list (`default` when absent, `all` for the whole suite)
-/// as canonical suite names.
-fn parse_benches(args: &[String], default: &str) -> Vec<String> {
+/// as canonical suite names, plus `gen:<blocks>` workloads if `gen`. An
+/// unknown name is a usage error.
+fn parse_benches(args: &[String], default: &str, gen: bool) -> Vec<String> {
     let value = flag_value(args, "--bench").unwrap_or_else(|| default.into());
     if value == "all" {
         return tracefill_workloads::names()
@@ -160,6 +231,7 @@ fn parse_benches(args: &[String], default: &str) -> Vec<String> {
     let all = tracefill_workloads::names().join(", ");
     let lookup = |name: &str| match tracefill_workloads::by_name(name) {
         Some(b) => b.name.to_string(),
+        None if gen && name.starts_with("gen:") => name.to_string(),
         None => die!(2, "unknown benchmark `{name}` (expected one of: {all})"),
     };
     split_list("--bench", &value, ',', "benchmarks", lookup)
@@ -390,8 +462,44 @@ fn cmd_interp(args: &[String]) {
     println!("output : {:?}", i.io().output);
 }
 
+/// Table 1: the suite with the paper's instruction counts and inputs,
+/// then each kernel's realized dynamic mix.
+fn print_table1() {
+    println!("=== Table 1: benchmarks ===");
+    let desc = "description";
+    println!(
+        "{:8} {:>10} {:>12}   {:>12} {desc}",
+        "bench", "paper inst", "paper input", "kernel i/s"
+    );
+    for b in tracefill_workloads::suite() {
+        println!(
+            "{:8} {:>10} {:>12.12}   {:>12} {}",
+            b.name, b.paper_icount, b.paper_input, b.instrs_per_scale, b.description
+        );
+    }
+    println!("\nRealized dynamic mix (fill-unit view, 60k instructions each):");
+    println!(
+        "{:8} {:>7} {:>8} {:>7} {:>7} {:>7} {:>7}",
+        "bench", "moves%", "reassoc%", "scadd%", "branch%", "load%", "store%"
+    );
+    for b in tracefill_workloads::suite() {
+        let prog = or_exit!(b.program(b.scale_for(80_000)), "{}: ", b.name);
+        let c = tracefill_workloads::characterize(&prog, 60_000);
+        let pct = [c.moves, c.reassoc, c.scadd, c.branches, c.loads, c.stores].map(|f| f * 100.0);
+        let [moves, reassoc, scadd, branches, loads, stores] = pct;
+        println!(
+            "{:8} {moves:7.1} {reassoc:8.1} {scadd:7.1} {branches:7.1} {loads:7.1} {stores:7.1}",
+            b.name
+        );
+    }
+}
+
+/// The dynamic mix of the file's program, or Table 1 without a file.
 fn cmd_characterize(args: &[String]) {
-    let prog = load(positional(args));
+    let Some(path) = optional_positional(args) else {
+        return print_table1();
+    };
+    let prog = load(path);
     let c = tracefill_workloads::characterize(&prog, 1_000_000);
     println!("instructions measured : {}", c.instrs);
     println!("register-move idioms  : {:5.2}%", c.moves * 100.0);
@@ -440,7 +548,7 @@ fn cmd_suite(args: &[String]) {
     print!("{}", report::fig8_table(&records));
 }
 
-/// Resolves a campaign argument: a builtin name (`fig8`, `table2`) or a
+/// Resolves a campaign argument: a builtin name (`fig8`, `passes`) or a
 /// path to a JSON spec file.
 fn load_spec(arg: &str) -> CampaignSpec {
     if let Some(spec) = CampaignSpec::builtin(arg) {
@@ -448,7 +556,7 @@ fn load_spec(arg: &str) -> CampaignSpec {
     }
     let text = or_exit!(
         std::fs::read_to_string(arg),
-        "`{arg}` is not a builtin campaign (fig8, table2) and cannot be read as a spec file: "
+        "`{arg}` is not a builtin campaign (fig8, passes) and cannot be read as a spec file: "
     );
     match CampaignSpec::from_json(&text) {
         Ok(spec) => spec,
@@ -565,7 +673,7 @@ fn fault_sweep(
     args: &[String],
     machine: impl Fn(OptConfig) -> SimConfig,
 ) -> (FaultSweep, Vec<Tally>) {
-    let mut benches = parse_benches(args, "m88k");
+    let mut benches = parse_benches(args, "m88k", false);
     if benches.len() > 1 {
         die!(2, "--bench takes a single benchmark for a fault sweep");
     }
@@ -755,10 +863,10 @@ fn cmd_heal(args: &[String]) {
 /// JSON report is deterministic — two same-seed invocations emit
 /// byte-identical bytes.
 fn cmd_adapt(args: &[String]) {
-    let mut spec = AdaptSpec::default();
-    if let Some(benches) = flag_value(args, "--bench").filter(|b| b != "all") {
-        spec.benchmarks = split_list("--bench", &benches, ',', "benchmarks", str::to_string);
-    }
+    let mut spec = AdaptSpec {
+        benchmarks: parse_benches(args, "all", true),
+        ..AdaptSpec::default()
+    };
     if flag_value(args, "--opts").is_some() {
         spec.opt_specs = parse_opt_axis(args, "")
             .into_iter()
@@ -827,7 +935,7 @@ fn cmd_adapt(args: &[String]) {
 /// hits, eviction, retired uops — into the per-pass ROI report. The JSON
 /// is byte-deterministic: two same-seed invocations emit identical bytes.
 fn cmd_ledger(args: &[String]) {
-    let benchmarks = parse_benches(args, "all");
+    let benchmarks = parse_benches(args, "all", false);
     let opt_spec = flag_value(args, "--opts").unwrap_or_else(|| "all".into());
     let opts = parse_opts(&opt_spec);
     let policy = parse_replace(args);
@@ -907,27 +1015,16 @@ fn cmd_report(args: &[String]) {
     if records.is_empty() {
         die!(1, "{path}: no parseable run records");
     }
-    // `all` prints every table, in this order, separated by blank lines.
-    type Table = fn(&[RunRecord]) -> String;
-    let tables: [(&str, Table); 6] = [
-        ("summary", report::summary),
-        ("fig8", report::fig8_table),
-        ("table2", report::table2_table),
-        ("cpi", report::cpi_table),
-        ("ledger", report::ledger_table),
-        ("repair", report::availability_table),
-    ];
+    // `all` prints every format, in order, separated by blank lines.
     let format = flag_value(args, "--format").unwrap_or_else(|| "all".into());
-    let selected: Vec<String> = tables
+    let selected: Vec<String> = report::FORMATS
         .iter()
         .filter(|(name, _)| format == "all" || format == *name)
-        .map(|(_, table)| table(&records))
+        .map(|(_, render)| render(&records))
         .collect();
     if selected.is_empty() {
-        die!(
-            2,
-            "unknown report format `{format}` (expected fig8, table2, cpi, ledger, repair, summary, all)"
-        )
+        eprintln!("unknown report format `{format}`");
+        usage()
     }
     print!("{}", selected.join("\n"));
 }
@@ -950,23 +1047,12 @@ fn exit_quietly_on_closed_stdout() {
 fn main() {
     exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    let Some((name, rest)) = args.split_first() else {
         usage()
     };
-    let run: fn(&[String]) = match cmd.as_str() {
-        "run" => cmd_run,
-        "trace" => cmd_trace,
-        "interp" => cmd_interp,
-        "characterize" => cmd_characterize,
-        "suite" => cmd_suite,
-        "ledger" => cmd_ledger,
-        "campaign" => cmd_campaign,
-        "report" => cmd_report,
-        "verify" => cmd_verify,
-        "inject" => cmd_inject,
-        "heal" => cmd_heal,
-        "adapt" => cmd_adapt,
-        _ => usage(),
+    let Some(&(_, synopsis, run)) = COMMANDS.iter().find(|(n, _, _)| n == name) else {
+        usage()
     };
+    check_flags(name, synopsis, rest);
     run(rest);
 }

@@ -278,27 +278,30 @@ impl CampaignSpec {
         }
     }
 
-    /// The Table 2 grid: all 15 benchmarks × {all} × latency 1 × one seed
-    /// (transformation coverage is measured with everything enabled).
-    #[must_use]
-    pub fn table2() -> CampaignSpec {
-        CampaignSpec {
-            name: "table2".to_string(),
-            opt_sets: vec![OptPoint {
-                label: "all".to_string(),
-                opts: OptConfig::all(),
-            }],
-            fill_latencies: vec![1],
-            ..CampaignSpec::fig8()
-        }
-    }
-
-    /// Looks up a built-in spec by name (`fig8`, `table2`).
+    /// Looks up a built-in spec by name: `fig8`, or `passes`, the grid
+    /// behind Figures 3–7 (all 15 benchmarks × {none, moves, reassoc,
+    /// scadd, placement} × fill latency 1 × one seed, on the Figure 8
+    /// windows).
     #[must_use]
     pub fn builtin(name: &str) -> Option<CampaignSpec> {
+        let point = |opts: OptConfig| OptPoint {
+            label: opts.label(),
+            opts,
+        };
         match name {
             "fig8" => Some(CampaignSpec::fig8()),
-            "table2" => Some(CampaignSpec::table2()),
+            "passes" => Some(CampaignSpec {
+                name: "passes".to_string(),
+                opt_sets: vec![
+                    point(OptConfig::none()),
+                    point(OptConfig::only_moves()),
+                    point(OptConfig::only_reassoc()),
+                    point(OptConfig::only_scadd()),
+                    point(OptConfig::only_placement()),
+                ],
+                fill_latencies: vec![1],
+                ..CampaignSpec::fig8()
+            }),
             _ => None,
         }
     }
@@ -557,6 +560,23 @@ mod tests {
         assert_eq!(runs.len(), 15 * 2 * 3);
         let ids: std::collections::HashSet<_> = runs.iter().map(|r| r.run_id.clone()).collect();
         assert_eq!(ids.len(), runs.len(), "run ids must be unique");
+    }
+
+    #[test]
+    fn passes_grid_shares_the_fig8_baselines() {
+        let runs = CampaignSpec::builtin("passes").unwrap().expand();
+        assert_eq!(runs.len(), 15 * 5);
+        let labels: Vec<&str> = runs[..5].iter().map(|r| r.opt_label.as_str()).collect();
+        assert_eq!(labels, ["none", "moves", "reassoc", "scadd", "placement"]);
+        // Same windows as Fig 8, so a `none@lat1` run has one id in both.
+        let fig8: std::collections::HashSet<_> = CampaignSpec::fig8()
+            .expand()
+            .into_iter()
+            .map(|r| r.run_id)
+            .collect();
+        let none: Vec<_> = runs.iter().filter(|r| r.opt_label == "none").collect();
+        assert_eq!(none.len(), 15);
+        assert!(none.iter().all(|r| fig8.contains(&r.run_id)));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   written atomically (one `write` per line) and restarting a campaign
 //!   skips ids already on disk;
 //! * [`report`] — arithmetic/geometric-mean IPC deltas, min/max, and
-//!   per-benchmark tables in the shape of the paper's Figure 8 and
-//!   Table 2, reproduced from the JSONL alone;
+//!   the paper's Figures 3–8 and Table 2, reproduced from the JSONL
+//!   alone;
 //! * [`progress`] — a live `completed/total, runs/sec, ETA` line;
 //! * [`adapt`] — static-vs-adaptive comparisons for the online pass
 //!   controller (`tracefill adapt`), emitting a deterministic JSON report;

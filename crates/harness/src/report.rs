@@ -45,14 +45,17 @@ fn bench_order(name: &str) -> (usize, String) {
     (idx, name.to_string())
 }
 
-/// Mean measured-window IPC per (bench, opt, latency), over `Ok` rows.
-fn cell_means(records: &[RunRecord]) -> BTreeMap<(String, String, u32), f64> {
+/// Mean of `value` per (bench, opt, latency), over `Ok` rows.
+fn cell_means(
+    records: &[RunRecord],
+    value: fn(&RunRecord) -> f64,
+) -> BTreeMap<(String, String, u32), f64> {
     let mut sums: BTreeMap<(String, String, u32), (f64, u32)> = BTreeMap::new();
     for r in records.iter().filter(|r| r.status.is_ok()) {
         let e = sums
             .entry((r.bench.clone(), r.opt_label.clone(), r.fill_latency))
             .or_insert((0.0, 0));
-        e.0 += r.ipc;
+        e.0 += value(r);
         e.1 += 1;
     }
     sums.into_iter()
@@ -66,7 +69,7 @@ fn cell_means(records: &[RunRecord]) -> BTreeMap<(String, String, u32), f64> {
 /// `none` run at the same latency) are omitted from that cell.
 #[must_use]
 pub fn aggregates(records: &[RunRecord]) -> Vec<CellDelta> {
-    let means = cell_means(records);
+    let means = cell_means(records, |r| r.ipc);
     let mut cells: BTreeMap<(String, u32), Vec<BenchDelta>> = BTreeMap::new();
     for ((bench, opt, lat), &ipc) in &means {
         if opt == "none" {
@@ -112,6 +115,116 @@ pub fn aggregates(records: &[RunRecord]) -> Vec<CellDelta> {
         });
     }
     out
+}
+
+/// A renderer of one `tracefill report --format`: its text from the
+/// stored rows alone.
+pub type Format = fn(&[RunRecord]) -> String;
+
+/// Every `tracefill report --format` and its renderer, in the order
+/// `--format all` prints them. Each of the paper's figures and tables
+/// prints under its title. Figures 3–7 read the `passes` campaign's
+/// cells; Figure 8 and Table 2 read the `fig8` campaign's.
+pub const FORMATS: [(&str, Format); 11] = [
+    ("summary", summary),
+    ("fig3", |r| pass_figure(r, PASS_FIGURES[0])),
+    ("fig4", |r| pass_figure(r, PASS_FIGURES[1])),
+    ("fig5", |r| pass_figure(r, PASS_FIGURES[2])),
+    ("fig6", |r| pass_figure(r, PASS_FIGURES[3])),
+    ("fig7", bypass_figure),
+    ("fig8", |r| {
+        let paper = "m88k +44%, ch +38%, comp/gcc/go/plot +13-14%";
+        format!(
+            "=== Figure 8: combined optimizations at fill latency 1/5/10 ===\n{}\
+             paper: ~+18% mean at any latency; {paper}\n",
+            fig8_table(r)
+        )
+    }),
+    ("table2", |r| {
+        let title = "=== Table 2: % of retired instructions transformed ===";
+        format!("{title}\n{}", table2_table(r))
+    }),
+    ("cpi", cpi_table),
+    ("ledger", ledger_table),
+    ("repair", availability_table),
+];
+
+/// The pass and the title of each of Figures 3–6.
+const PASS_FIGURES: [(&str, &str); 4] = [
+    (
+        "moves",
+        "Figure 3: register-move handling (paper mean ~ +5%)",
+    ),
+    ("reassoc", "Figure 4: reassociation"),
+    ("scadd", "Figure 5: scaled adds (paper mean +3.7%)"),
+    (
+        "placement",
+        "Figure 6: instruction placement (paper mean +5%)",
+    ),
+];
+
+/// Figures 3–6: the IPC gain of the pass `pass` alone over the `none`
+/// baseline per benchmark, at the lowest fill latency that has the cell,
+/// next to the paper's gain ([`tracefill_workloads::paper_pass_gain`]).
+fn pass_figure(records: &[RunRecord], (pass, title): (&str, &str)) -> String {
+    let mut s = format!("\n=== {title} ===\n");
+    let cells = aggregates(records);
+    // Cells sort by (opt label, latency), so the first match is the
+    // lowest latency.
+    let Some(cell) = cells.iter().find(|c| c.opt_label == pass) else {
+        let _ = writeln!(
+            s,
+            "no `{pass}` cell with a `none` baseline (run the `passes` campaign)"
+        );
+        return s;
+    };
+    let _ = writeln!(
+        s,
+        "{:6} {:>9} {:>9} {:>8} {:>10}",
+        "bench", "base IPC", "opt IPC", "ours", "paper"
+    );
+    for (bench, base, ipc, gain) in &cell.per_bench {
+        let paper = tracefill_workloads::by_name(bench)
+            .and_then(|b| tracefill_workloads::paper_pass_gain(pass, b.name))
+            .map_or_else(|| "-".to_string(), |p| format!("{p:+.1}%"));
+        let _ = writeln!(s, "{bench:6} {base:9.3} {ipc:9.3} {gain:+7.1}% {paper:>10}");
+    }
+    let mean = cell.arith_mean_pct;
+    let _ = writeln!(s, "{:6} {:>9} {:>9} {mean:+7.1}%", "mean", "", "");
+    s
+}
+
+/// Figure 7: the % of instructions whose last-arriving source was
+/// delayed by the cross-cluster bypass, `none` against `placement`, per
+/// benchmark at the lowest fill latency that has `placement` rows.
+fn bypass_figure(records: &[RunRecord]) -> String {
+    let mut s = "=== Figure 7: bypass-delayed instructions (paper: ~35% -> ~29%) ===\n".to_string();
+    let delayed = cell_means(records, |r| r.stats.bypass_delay_fraction() * 100.0);
+    let placed = delayed.iter().filter(|((_, opt, _), _)| opt == "placement");
+    let lat = placed.clone().map(|((_, _, lat), _)| *lat).min();
+    let mut rows: Vec<(&String, f64, f64)> = placed
+        .filter(|((_, _, l), _)| Some(*l) == lat)
+        .filter_map(|((bench, _, l), &with)| {
+            let base = delayed.get(&(bench.clone(), "none".to_string(), *l))?;
+            Some((bench, *base, with))
+        })
+        .collect();
+    if rows.is_empty() {
+        s.push_str("no `placement` cell with a `none` baseline (run the `passes` campaign)\n");
+        return s;
+    }
+    rows.sort_by_key(|(bench, _, _)| bench_order(bench));
+    let _ = writeln!(s, "{:6} {:>10} {:>11}", "bench", "baseline%", "placement%");
+    let (mut base_sum, mut with_sum) = (0.0, 0.0);
+    for (bench, base, with) in &rows {
+        let _ = writeln!(s, "{bench:6} {base:10.1} {with:11.1}");
+        base_sum += base;
+        with_sum += with;
+    }
+    let n = rows.len() as f64;
+    let (base, with) = (base_sum / n, with_sum / n);
+    let _ = writeln!(s, "{:6} {base:10.1} {with:11.1}", "mean");
+    s
 }
 
 /// The Figure 8-shaped table: per-benchmark IPC delta per cell, with
@@ -574,6 +687,68 @@ mod tests {
         assert!(table2_table(&[]).contains("no `all` runs"));
         assert!(cpi_table(&[]).contains("no rows carry a CPI stack"));
         assert!(ledger_table(&[]).contains("no rows carry ledger metrics"));
+    }
+
+    /// The text `report --format name` prints for `records`.
+    fn render(name: &str, records: &[RunRecord]) -> String {
+        let (_, render) = FORMATS.iter().find(|(n, _)| *n == name).unwrap();
+        render(records)
+    }
+
+    #[test]
+    fn figures_without_their_cell_print_a_note() {
+        let records = vec![row("m88k", "none", 1, 2.0), row("m88k", "all", 1, 2.5)];
+        for (fig, pass) in [
+            ("fig3", "moves"),
+            ("fig4", "reassoc"),
+            ("fig5", "scadd"),
+            ("fig6", "placement"),
+            ("fig7", "placement"),
+        ] {
+            let t = render(fig, &records);
+            assert!(t.contains("=== Figure"), "{fig}: {t}");
+            assert!(t.contains(&format!("no `{pass}` cell")), "{fig}: {t}");
+        }
+        assert!(render("fig3", &[]).contains("no `moves` cell"));
+        assert!(render("fig7", &[]).contains("no `placement` cell"));
+    }
+
+    #[test]
+    fn pass_figures_take_the_paper_column_from_the_workloads_table() {
+        let records = vec![
+            row("m88k", "none", 1, 2.0),
+            row("m88k", "reassoc", 1, 3.0),
+            row("gcc", "none", 1, 1.0),
+            row("gcc", "reassoc", 1, 1.1),
+            row("gen:8", "none", 1, 1.0),
+            row("gen:8", "reassoc", 1, 1.2),
+        ];
+        let t = render("fig4", &records);
+        let line = |bench: &str| {
+            let found = t.lines().find(|l| l.starts_with(&format!("{bench} ")));
+            found.unwrap_or_else(|| panic!("no {bench} row:\n{t}"))
+        };
+        for bench in ["m88k", "gcc"] {
+            let paper = tracefill_workloads::paper_pass_gain("reassoc", bench).unwrap();
+            assert!(line(bench).ends_with(&format!("{paper:+.1}%")), "{t}");
+        }
+        assert!(line("m88k").contains("+50.0%"), "{t}");
+        // A workload the paper does not list has no paper value.
+        assert!(line("gen:8").ends_with('-'), "{t}");
+        assert!(t.lines().last().unwrap().starts_with("mean"), "{t}");
+    }
+
+    #[test]
+    fn bypass_figure_compares_none_with_placement() {
+        let delayed = |opt: &str, count: u64| {
+            let mut r = row("m88k", opt, 1, 2.0);
+            r.stats.fu_executed = 1000;
+            r.stats.bypass_delayed = count;
+            r
+        };
+        let t = render("fig7", &[delayed("none", 400), delayed("placement", 300)]);
+        assert!(t.contains("m88k         40.0        30.0"), "{t}");
+        assert!(t.contains("mean         40.0        30.0"), "{t}");
     }
 
     /// Builds a ledgered row with `segs` segments, `hits` total hits, and

@@ -26,4 +26,4 @@ pub mod kernels;
 pub mod suite;
 
 pub use characterize::{characterize, Characteristics};
-pub use suite::{by_name, names, select, suite, Benchmark, Table2Row};
+pub use suite::{by_name, names, paper_pass_gain, select, suite, Benchmark, Table2Row};

@@ -18,6 +18,28 @@ pub struct Table2Row {
     pub total: f64,
 }
 
+/// The paper's IPC gain (%) of the pass `pass` alone on the benchmark
+/// `bench` (Figures 3–6), or `None` for another pass. The text quotes
+/// only a few benchmarks per figure; every other one reads the figure's
+/// mean.
+#[must_use]
+pub fn paper_pass_gain(pass: &str, bench: &str) -> Option<f64> {
+    Some(match (pass, bench) {
+        ("moves", _) => 5.0,
+        ("reassoc", "m88k" | "ch") => 23.0,
+        ("reassoc", "ijpeg") => 6.0,
+        ("reassoc", "gs") => 8.0,
+        ("reassoc", _) => 1.5,
+        ("scadd", "go" | "tex") => 8.0,
+        ("scadd", "li" | "vor" | "pgp" | "plot") => 1.0,
+        ("scadd", _) => 3.7,
+        ("placement", "ijpeg") => 11.0,
+        ("placement", "tex") => 1.0,
+        ("placement", _) => 5.0,
+        _ => return None,
+    })
+}
+
 /// One benchmark of the suite.
 #[derive(Clone)]
 pub struct Benchmark {

@@ -31,6 +31,8 @@ echo "==> observer export smoke (trace, chrome + ledger, observed report)"
 SMOKE_DIR="target/ci-smoke"
 TF="cargo run --release -q -p tracefill-bench --bin tracefill --"
 GOLDEN="tests/golden"
+# Start empty, so no store an earlier run left resumes rows into a report.
+rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
 # The smoke program of tests/cli.rs, which the trace goldens come from.
 cat > "$SMOKE_DIR/smoke.s" <<'EOF'
@@ -92,7 +94,6 @@ $TF ledger --bench m88k --seed 1 --warmup 1000 --budget 8000 --json \
 cmp "$SMOKE_DIR/ledger.json" "$GOLDEN/ledger.json"
 # The same ledger through stored campaign rows and their report. The
 # campaign's wall time is masked as `N`, as in tests/cli.rs.
-rm -f "$SMOKE_DIR/r.jsonl"
 (
     cd "$SMOKE_DIR"
     $TF campaign ../../tests/golden/campaign-ledger.spec.json --out r.jsonl --jobs 2 --quiet |
@@ -106,18 +107,28 @@ cargo run --release -q -p tracefill-bench --bin tracefill -- \
     run "$SMOKE_DIR/smoke.s" --replace trrip --json > "$SMOKE_DIR/trrip.json"
 
 echo "==> figure and table stdout match their reduced-window goldens"
-# The figure benchmarks resume rows from campaign stores keyed by window,
-# so drop this window's stores first: a store an older build wrote would
-# re-print its rows instead of this build's.
-rm -f crates/bench/target/campaigns/*-w20000-b20000.jsonl
-for fig in table1_suite fig3_register_moves fig4_reassociation fig5_scaled_adds \
-    fig6_placement fig7_bypass_delay fig8_combined table2_coverage; do
-    TRACEFILL_WARMUP=20000 TRACEFILL_BUDGET=20000 \
-        cargo bench -q -p tracefill-bench --bench "$fig" \
-        > "$SMOKE_DIR/$fig.txt" 2> "$SMOKE_DIR/$fig.err" ||
-        { cat "$SMOKE_DIR/$fig.err"; exit 1; }
-    cmp "$SMOKE_DIR/$fig.txt" "$GOLDEN/figures/$fig.txt"
+# Figs 3-7 render from the `passes` grid, Fig 8 and Table 2 from the
+# `fig8` grid, both at the 20k + 20k windows their spec files set;
+# Table 1 is `characterize` without a file.
+FIGURES="$GOLDEN/figures"
+for grid in fig8 passes; do
+    $TF campaign "$FIGURES/$grid.spec.json" --out "$SMOKE_DIR/$grid.jsonl" --quiet > /dev/null
 done
+# check_figure GRID FORMAT GOLDEN: `report --format FORMAT` over the
+# GRID store must match figures/GOLDEN.txt byte for byte.
+check_figure() {
+    $TF report "$SMOKE_DIR/$1.jsonl" --format "$2" > "$SMOKE_DIR/$3.txt"
+    cmp "$SMOKE_DIR/$3.txt" "$FIGURES/$3.txt"
+}
+check_figure fig8 fig8 fig8_combined
+check_figure fig8 table2 table2_coverage
+check_figure passes fig3 fig3_register_moves
+check_figure passes fig4 fig4_reassociation
+check_figure passes fig5 fig5_scaled_adds
+check_figure passes fig6 fig6_placement
+check_figure passes fig7 fig7_bypass_delay
+$TF characterize > "$SMOKE_DIR/table1_suite.txt"
+cmp "$SMOKE_DIR/table1_suite.txt" "$FIGURES/table1_suite.txt"
 
 echo "==> ablations benchmark (run_with through the harness runner)"
 TRACEFILL_WARMUP=500 TRACEFILL_BUDGET=500 cargo bench -q -p tracefill-bench --bench ablations

@@ -469,6 +469,96 @@ fn zero_sized_axes_are_rejected_with_exit_1() {
     }
 }
 
+/// Every subcommand declares its flags; any other flag, a misspelt one
+/// or one another subcommand takes, is a usage error naming it.
+#[test]
+fn every_subcommand_rejects_an_undeclared_flag() {
+    for args in [
+        &["run", "prog.s", "--max-cycle", "9"][..],
+        &["trace", "prog.s", "--dpeth", "9"],
+        &["interp", "prog.s", "--inputs", "1"],
+        &["characterize", "--opts", "all"],
+        &["suite", "--bugdet", "200"],
+        &["suite", "--jobs", "0"],
+        &["ledger", "--benches", "m88k"],
+        &["campaign", "fig8", "--job", "2"],
+        &["report", "r.jsonl", "--fromat", "fig8"],
+        &["verify", "--budgte", "9"],
+        &["inject", "--trails", "3"],
+        &["heal", "--self-repair"],
+        &["adapt", "--epochs", "64"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+}
+
+/// `adapt` names an unknown benchmark as a usage error, like `ledger`,
+/// and still runs the generator's `gen:<blocks>` workloads.
+#[test]
+fn adapt_rejects_an_unknown_benchmark_but_runs_gen_workloads() {
+    let out = bin()
+        .args(["adapt", "--bench", "nonesuch"])
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown benchmark `nonesuch`"), "{err}");
+    let out = bin()
+        .args(["adapt", "--bench", "gen:24", "--opts", "none:all"])
+        .args(["--warmup", "500", "--budget", "500", "--epoch", "16"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("gen:24"));
+}
+
+/// A figure format over a store without its cell says so and exits 0,
+/// and `characterize` without a file prints Table 1.
+#[test]
+fn figure_formats_note_a_missing_cell_and_characterize_prints_table1() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = scratch("figure-formats");
+    let spec = root.join("tests/golden/campaign-ledger.spec.json");
+    let out = bin()
+        .current_dir(&dir)
+        .args([
+            "campaign",
+            spec.to_str().unwrap(),
+            "--out",
+            "r.jsonl",
+            "--quiet",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let out = bin()
+        .current_dir(&dir)
+        .args(["report", "r.jsonl", "--format", "fig3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("=== Figure 3: register-move handling"),
+        "{text}"
+    );
+    assert!(text.contains("no `moves` cell"), "{text}");
+
+    let out = bin().arg("characterize").output().unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.starts_with("=== Table 1: benchmarks ===\n"), "{text}");
+}
+
 #[test]
 fn a_flag_in_place_of_the_file_argument_is_a_usage_error() {
     // `tracefill run --json` used to try to read a file named `--json`.
